@@ -1,19 +1,13 @@
-//===- bench/megakernel_scaling.cpp - Parallel Select thread scaling ------===//
+//===- bench/megakernel_scaling.cpp - Select cost on giant graphs ---------===//
 //
 // Part of briggs-regalloc. SPDX-License-Identifier: MIT
 //
 //===----------------------------------------------------------------------===//
 //
-// Thread-scaling study of the speculate-and-repair Select engine
-// (ParallelSelect.h) on the mega-kernel family (tens of thousands of
+// Select-phase timing on the mega-kernel family (tens of thousands of
 // live ranges in one interference graph) plus a raw random-CSR stress
-// graph. For each subject: sequential Select is timed as the baseline,
-// then the parallel engine runs at 1/2/4/8 threads (capped by --jobs);
-// every parallel coloring is compared against the sequential one and
-// ANY mismatch — colors, spill set, spill cost — is a hard error, not
-// a statistic. Per-round conflict counts demonstrate repair
-// convergence, and an audited end-to-end allocation of the 10k ramp
-// proves the engine composes with the full Figure 4 loop. Numbers land
+// graph: best-of-N sequential Select seconds per subject, then an
+// audited end-to-end allocation of the 10k ramp for scale. Numbers land
 // in the "megakernel_scaling" section of BENCH_allocator.json.
 //
 //===----------------------------------------------------------------------===//
@@ -21,6 +15,7 @@
 #include "BenchJson.h"
 #include "regalloc/Allocator.h"
 #include "regalloc/Coloring.h"
+#include "support/ParseNumber.h"
 #include "support/Rng.h"
 #include "support/Timer.h"
 #include "workloads/MegaKernel.h"
@@ -29,7 +24,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <vector>
 
 using namespace ra;
 
@@ -56,29 +50,10 @@ void die(const std::string &Subject, const std::string &What) {
   std::exit(1);
 }
 
-/// Requires byte-identical colorings — the whole point of the engine.
-void requireIdentical(const std::string &Subject, unsigned Threads,
-                      const ColoringResult &Seq, const ColoringResult &Par) {
-  if (Seq.ColorOf != Par.ColorOf)
-    die(Subject, "ColorOf mismatch at " + std::to_string(Threads) +
-                     " threads");
-  if (Seq.Spilled != Par.Spilled)
-    die(Subject, "spill-set mismatch at " + std::to_string(Threads) +
-                     " threads");
-  if (Seq.SpilledCost != Par.SpilledCost)
-    die(Subject, "spill-cost mismatch at " + std::to_string(Threads) +
-                     " threads");
-  if (Seq.NumColorsUsed != Par.NumColorsUsed)
-    die(Subject, "colors-used mismatch at " + std::to_string(Threads) +
-                     " threads");
-}
-
-/// One scaling study over a finalized graph. Returns the best observed
-/// parallel Select seconds (for the summary line).
+/// Times sequential Select over a finalized graph, best of \p Repeats
+/// to damp scheduler noise.
 void runSubject(const std::string &Name, const InterferenceGraph &G,
-                unsigned K, unsigned MaxJobs, unsigned Repeats,
-                BenchJson *J) {
-  // Sequential baseline: best of Repeats to damp scheduler noise.
+                unsigned K, unsigned Repeats, BenchJson &J) {
   ColoringResult Seq;
   double SeqBest = 0;
   for (unsigned R = 0; R < Repeats; ++R) {
@@ -91,82 +66,46 @@ void runSubject(const std::string &Name, const InterferenceGraph &G,
               "%zu spilled\n",
               Name.c_str(), G.numNodes(), K, SeqBest * 1e3,
               Seq.Spilled.size());
-  if (J) {
-    J->set(Name + ".nodes", G.numNodes());
-    J->set(Name + ".k", K);
-    J->set(Name + ".spilled", uint64_t(Seq.Spilled.size()));
-    J->set(Name + ".seq_select_seconds", SeqBest);
-  }
-
-  for (unsigned Threads = 1; Threads <= MaxJobs; Threads *= 2) {
-    SelectOptions SO;
-    SO.Parallel = true;
-    SO.Threads = Threads;
-    SO.MinNodes = 0;
-    ColoringResult Par;
-    double ParBest = 0;
-    for (unsigned R = 0; R < Repeats; ++R) {
-      ColoringResult C = colorGraph(G, K, Heuristic::Briggs, SO);
-      requireIdentical(Name, Threads, Seq, C);
-      if (R == 0 || C.SelectSeconds < ParBest)
-        ParBest = C.SelectSeconds;
-      Par = std::move(C);
-    }
-    double Speedup = ParBest > 0 ? SeqBest / ParBest : 0;
-    std::string Rounds;
-    for (const SelectRound &SR : Par.SelectRounds) {
-      if (!Rounds.empty())
-        Rounds += ",";
-      Rounds += std::to_string(SR.Conflicts);
-    }
-    std::printf("  %2u thread%s: %8.3f ms  (%.2fx)  rounds=%zu  "
-                "conflicts/round=[%s]\n",
-                Threads, Threads == 1 ? " " : "s", ParBest * 1e3, Speedup,
-                Par.SelectRounds.size(), Rounds.c_str());
-    if (J) {
-      std::string P = Name + ".threads_" + std::to_string(Threads) + ".";
-      J->set(P + "select_seconds", ParBest);
-      J->set(P + "speedup", Speedup);
-      J->set(P + "rounds", uint64_t(Par.SelectRounds.size()));
-      J->set(P + "conflicts_per_round", Rounds);
-    }
-  }
+  J.set(Name + ".nodes", G.numNodes());
+  J.set(Name + ".k", K);
+  J.set(Name + ".spilled", uint64_t(Seq.Spilled.size()));
+  J.set(Name + ".seq_select_seconds", SeqBest);
 }
 
 } // namespace
 
 int main(int Argc, char **Argv) {
   std::string JsonPath = BenchJson::consumeFlag(Argc, Argv);
-  unsigned MaxJobs = 8;
   unsigned Repeats = 3;
   uint64_t MemBudgetBytes = 0;
   for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--jobs") == 0 && I + 1 < Argc)
-      MaxJobs = unsigned(std::atoi(Argv[++I]));
-    else if (std::strcmp(Argv[I], "--repeats") == 0 && I + 1 < Argc)
-      Repeats = unsigned(std::atoi(Argv[++I]));
-    else if (std::strcmp(Argv[I], "--mem-budget-mb") == 0 && I + 1 < Argc)
-      MemBudgetBytes = uint64_t(std::atoll(Argv[++I])) << 20;
-    else {
+    Status Err;
+    if (std::strcmp(Argv[I], "--repeats") == 0 && I + 1 < Argc) {
+      Err = parseUnsigned(Argv[++I], Repeats, 1);
+    } else if (std::strcmp(Argv[I], "--mem-budget-mb") == 0 &&
+               I + 1 < Argc) {
+      uint64_t Mb = 0;
+      Err = parseUnsigned(Argv[++I], Mb, 0, MaxMegabytes);
+      MemBudgetBytes = Mb << 20;
+    } else {
       std::fprintf(stderr,
-                   "usage: megakernel_scaling [--jobs N] [--repeats N] "
+                   "usage: megakernel_scaling [--repeats N] "
                    "[--mem-budget-mb N] [--bench-json FILE]\n");
       return 2;
     }
+    if (!Err.ok())
+      die(Argv[I - 1], Err.toString());
   }
-  if (MaxJobs == 0 || Repeats == 0)
-    die("args", "--jobs and --repeats must be >= 1");
 
   BenchJson J("megakernel_scaling");
-  J.set("max_jobs", MaxJobs);
   J.set("repeats", Repeats);
 
-  std::printf("Parallel Select scaling on the mega-kernel family "
-              "(best of %u runs; identical colorings enforced)\n\n",
+  std::printf("Sequential Select on the mega-kernel family "
+              "(best of %u runs)\n\n",
               Repeats);
 
   // Generated kernels: build the IR, replicate the build phase, then
-  // race sequential vs. parallel Select on the biggest class graph.
+  // time Select on the biggest class graph.
   for (const MegaKernel &MK : megaKernelFamily()) {
     // Capacity guard: refuse a kernel whose triangular interference
     // matrix would blow the budget *before* building any IR, with the
@@ -186,16 +125,16 @@ int main(int Argc, char **Argv) {
         Big = &CG;
     if (!Big || Big->Graph.numNodes() == 0)
       die(MK.Name, "empty interference graph");
-    runSubject(MK.Name, Big->Graph, 8, MaxJobs, Repeats, &J);
+    runSubject(MK.Name, Big->Graph, 8, Repeats, J);
   }
 
   // Raw CSR stress: high average degree, no structure to exploit.
   {
     InterferenceGraph G = makeRandomGraph(30000, 24.0, 20260808);
-    runSubject("csr.rand.30k", G, 16, MaxJobs, Repeats, &J);
+    runSubject("csr.rand.30k", G, 16, Repeats, J);
   }
 
-  // End-to-end proof: the engine inside the full allocator, audited.
+  // End-to-end: the full allocator on the 10k ramp, audited.
   if (Status Cap = checkMegaKernelCapacity(megaKernelFamily()[0],
                                            MemBudgetBytes);
       !Cap.ok()) {
@@ -206,9 +145,6 @@ int main(int Argc, char **Argv) {
     Function &F = megaKernelFamily()[0].Build(M);
     AllocatorConfig C;
     C.Audit = true;
-    C.ParallelGraph = true;
-    C.ParallelGraphJobs = MaxJobs;
-    C.ParallelGraphMinNodes = 0;
     Timer T;
     T.start();
     AllocationResult A = allocateRegisters(F, C);
@@ -216,19 +152,11 @@ int main(int Argc, char **Argv) {
     if (!A.Success || A.Outcome != AllocOutcome::Converged)
       die("end-to-end", "audited allocation of mega.ramp.10k failed: " +
                             A.Diag.toString());
-    unsigned Rounds = 0, Conflicts = 0;
-    for (const PassRecord &P : A.Stats.Passes) {
-      Rounds += P.SelectRounds;
-      Conflicts += P.SelectConflicts;
-    }
     std::printf("\nend-to-end: mega.ramp.10k audited allocation in "
-                "%.3f s (%u passes, %u select rounds, %u conflicts "
-                "repaired)\n",
-                T.seconds(), A.Stats.numPasses(), Rounds, Conflicts);
+                "%.3f s (%u passes)\n",
+                T.seconds(), A.Stats.numPasses());
     J.set("end_to_end.seconds", T.seconds());
     J.set("end_to_end.passes", A.Stats.numPasses());
-    J.set("end_to_end.select_rounds", Rounds);
-    J.set("end_to_end.select_conflicts", Conflicts);
     J.set("end_to_end.outcome", std::string(allocOutcomeName(A.Outcome)));
   }
 

@@ -7,9 +7,7 @@
 #
 #   usage: run_benches.sh [BUILD_DIR] [--jobs N]    (default: build)
 #
-# --jobs N caps the thread sweep of the scaling benches
-# (micro_coloring's pool sweep and megakernel_scaling's in-graph Select
-# sweep); default 8.
+# --jobs N caps micro_coloring's thread-pool sweep; default 8.
 #
 # Set BENCH_JSON to redirect the telemetry file. Set RA_TRACE to a path
 # to additionally capture a Chrome/Perfetto trace of rac over the sample
@@ -71,10 +69,10 @@ for src in "$script_dir"/bench/*.cpp; do
   fi
   found=1
   echo "==== $b ===="
-  # The scaling benches take the thread-sweep cap; the figure benches
-  # are single-threaded by design.
+  # The pool sweep takes the thread cap; the other benches are
+  # single-threaded by design.
   case "$name" in
-    micro_coloring|megakernel_scaling)
+    micro_coloring)
       "$b" --jobs "$JOBS" --bench-json "$BENCH_JSON" ;;
     *)
       "$b" --bench-json "$BENCH_JSON" ;;

@@ -281,6 +281,11 @@ unsigned ra::reduceStrength(Function &F) {
 
         VRegId Fresh =
             F.newVReg(RegClass::Int, F.vreg(X).Name + ".iv");
+        // Keep the def census covering every vreg: a later loop (one
+        // enclosing this preheader) indexes it with Fresh. Two defs —
+        // the preheader init and the increment emitted below.
+        assert(Fresh == DI.DefCount.size());
+        DI.DefCount.push_back(2);
         Init.setDefReg(Fresh);
         NewIVs.push_back({Fresh, Init, unsigned(IVIndex[V]), Step});
         // The original computation becomes a copy off the new IV

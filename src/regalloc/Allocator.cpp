@@ -191,8 +191,7 @@ RangeMetrics rangeRow(const Function &F, const ClassGraph &CG,
                       const std::vector<double> &Costs,
                       const std::vector<double> &Area,
                       const std::vector<unsigned> &DepthOf,
-                      RangeMetrics::Decision D, int32_t Color,
-                      unsigned SelectRounds) {
+                      RangeMetrics::Decision D, int32_t Color) {
   VRegId R = CG.NodeToVReg[Node];
   RangeMetrics RM;
   RM.Name = F.vreg(R).Name;
@@ -207,7 +206,6 @@ RangeMetrics rangeRow(const Function &F, const ClassGraph &CG,
   RM.LoopDepth = DepthOf[R];
   RM.D = D;
   RM.Color = Color;
-  RM.SelectRounds = SelectRounds;
   return RM;
 }
 
@@ -329,11 +327,6 @@ AllocationResult runColoringPasses(Function &F, const AllocatorConfig &C,
     std::vector<VRegId> ToSpill;
     std::array<ColoringResult, NumRegClasses> Colorings;
     static_assert(NumRegClasses == 2, "per-class threading assumes 2");
-    SelectOptions SelOpts;
-    SelOpts.Parallel = C.ParallelGraph;
-    SelOpts.Threads = C.ParallelGraphJobs;
-    SelOpts.MinNodes = C.ParallelGraphMinNodes;
-    SelOpts.Governor = Gov;
     bool Concurrent =
         C.ParallelClasses &&
         Graphs[0].Graph.numNodes() >= ParallelClassThreshold &&
@@ -349,17 +342,17 @@ AllocationResult runColoringPasses(Function &F, const AllocatorConfig &C,
         RA_TRACE_CONTEXT([&] { return ParentCtx + "/flt-helper"; });
         Colorings[1] =
             colorGraph(Graphs[1].Graph, C.Machine.numRegs(Graphs[1].Class),
-                       C.H, SelOpts);
+                       C.H, Gov);
       });
       Colorings[0] = colorGraph(Graphs[0].Graph,
                                 C.Machine.numRegs(Graphs[0].Class), C.H,
-                                SelOpts);
+                                Gov);
       Helper.join();
     } else {
       for (unsigned Cls = 0; Cls < NumRegClasses; ++Cls)
         Colorings[Cls] = colorGraph(Graphs[Cls].Graph,
                                     C.Machine.numRegs(Graphs[Cls].Class),
-                                    C.H, SelOpts);
+                                    C.H, Gov);
     }
     if (Gov && Gov->expired()) {
       // A class coloring was abandoned mid-phase; its ColoringResult is
@@ -371,13 +364,6 @@ AllocationResult runColoringPasses(Function &F, const AllocatorConfig &C,
       ClassGraph &CG = Graphs[Cls];
       Rec.SimplifySeconds += Colorings[Cls].SimplifySeconds;
       Rec.SelectSeconds += Colorings[Cls].SelectSeconds;
-      for (size_t I = 0; I != Colorings[Cls].SelectRounds.size(); ++I) {
-        const SelectRound &SR = Colorings[Cls].SelectRounds[I];
-        ++Rec.SelectRounds;
-        Rec.SelectConflicts += SR.Conflicts;
-        if (I > 0) // entry 0 is speculation, not repair
-          Rec.SelectRecolored += SR.Colored;
-      }
       for (uint32_t Node : Colorings[Cls].Spilled) {
         VRegId R = CG.NodeToVReg[Node];
         ToSpill.push_back(R);
@@ -386,8 +372,7 @@ AllocationResult runColoringPasses(Function &F, const AllocatorConfig &C,
         if (C.CollectMetrics)
           Result.Metrics.push_back(rangeRow(
               F, CG, Node, Pass, Costs, Area, DepthOf,
-              RangeMetrics::Decision::Spilled, /*Color=*/-1,
-              unsigned(Colorings[Cls].SelectRounds.size())));
+              RangeMetrics::Decision::Spilled, /*Color=*/-1));
       }
     }
     Rec.SpilledLiveRanges = ToSpill.size();
@@ -408,8 +393,7 @@ AllocationResult runColoringPasses(Function &F, const AllocatorConfig &C,
             Result.Metrics.push_back(
                 rangeRow(F, CG, Node, Pass, Costs, Area, DepthOf,
                          RangeMetrics::Decision::Colored,
-                         Colorings[Cls].ColorOf[Node],
-                         unsigned(Colorings[Cls].SelectRounds.size())));
+                         Colorings[Cls].ColorOf[Node]));
         }
       if (C.FaultInject.Miscolor)
         injectMiscoloring(Graphs, Colorings, C.Machine, Result);

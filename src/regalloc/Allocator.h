@@ -128,19 +128,6 @@ struct AllocatorConfig {
   /// both are large enough to pay for a thread. Never changes results:
   /// the two class graphs share no state.
   bool ParallelClasses = true;
-  /// Parallelize the Select phase *inside* one interference graph with
-  /// the speculate-and-repair engine (ParallelSelect.h). Byte-identical
-  /// to the sequential phase at any thread count; engages only for
-  /// graphs whose select stack reaches ParallelGraphMinNodes. rac's
-  /// --parallel-graph flag.
-  bool ParallelGraph = false;
-  /// Threads for the parallel Select. 0 = one per hardware thread
-  /// (divided by Jobs when the module driver is already running
-  /// functions in parallel — see allocateModule).
-  unsigned ParallelGraphJobs = 0;
-  /// Select stacks smaller than this stay sequential even with
-  /// ParallelGraph set; below it, thread spawn outweighs the work.
-  unsigned ParallelGraphMinNodes = 2048;
   /// Run the independent post-allocation audit (AllocationAudit.h) on
   /// every allocation. An audit failure triggers the spill-everything
   /// fallback and a Degraded outcome instead of returning wrong code.
@@ -193,15 +180,6 @@ struct PassRecord {
   /// Split decisions taken during the walk (second-chance splits plus
   /// eviction truncations), whether or not the pass converged.
   unsigned SplitDecisions = 0;
-  /// Parallel Select (AllocatorConfig::ParallelGraph) telemetry, summed
-  /// over both class graphs: speculate/repair rounds run, conflicts
-  /// detected, and nodes re-colored by repair. All zero when the
-  /// sequential phase ran. Scheduling-dependent (vary with thread count
-  /// and interleaving, like the timing fields) — the resulting coloring
-  /// is identical regardless.
-  unsigned SelectRounds = 0;
-  unsigned SelectConflicts = 0;
-  unsigned SelectRecolored = 0;
 };
 
 /// Aggregate statistics for a full allocation.
@@ -273,9 +251,6 @@ struct RangeMetrics {
   Decision D = Decision::Colored;
   int32_t Color = -1;        ///< Physical register, or -1 if not colored.
   std::string CoalescedInto; ///< Surviving range's name (Coalesced only).
-  /// Speculate/repair rounds the range's class graph took this pass
-  /// (0 = sequential Select). Scheduling-dependent, like wall time.
-  unsigned SelectRounds = 0;
 };
 
 /// Printable decision name ("colored", "spilled", "coalesced", "split").

@@ -7,12 +7,12 @@
 #include "regalloc/Coloring.h"
 
 #include "regalloc/DegreeBuckets.h"
-#include "regalloc/ParallelSelect.h"
 #include "regalloc/SpillHeap.h"
 #include "support/Budget.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace ra;
@@ -45,7 +45,7 @@ void removeNode(const InterferenceGraph &G, DegreeBuckets &Buckets,
 } // namespace
 
 ColoringResult ra::colorGraph(const InterferenceGraph &G, unsigned K,
-                              Heuristic H, const SelectOptions &SO) {
+                              Heuristic H, Budget *Gov) {
   assert(K >= 1 && "need at least one color");
   ColoringResult R;
   unsigned N = G.numNodes();
@@ -88,7 +88,6 @@ ColoringResult ra::colorGraph(const InterferenceGraph &G, unsigned K,
   std::vector<bool> MarkedSpilled(N, false); // Chaitin only
   SpillCandidateHeap SpillHeap; // built on the first stuck step
 
-  Budget *Gov = SO.Governor;
   uint32_t Hint = 0;
   bool InStuckRegion = false;
   while (Buckets.numLive() != 0) {
@@ -149,44 +148,7 @@ ColoringResult ra::colorGraph(const InterferenceGraph &G, unsigned K,
   // would miscount spills (and trip the Chaitin colorability assert),
   // so the phase is skipped outright — the governed caller discards
   // the result anyway.
-  const bool Tripped = Gov && Gov->exhausted();
-  const bool UseParallel =
-      SO.Parallel && R.RemovalOrder.size() >= SO.MinNodes;
-  if (Tripped) {
-    // nothing: R stays partial
-  } else if (UseParallel) {
-    // Speculate-and-repair engine (ParallelSelect.cpp): converges to the
-    // same coloring the sequential loop below computes, at any thread
-    // count. The spill list, cost sum, and counters are then derived in
-    // one sequential rank-order sweep so decision order and floating-
-    // point accumulation order match the sequential phase exactly.
-    std::vector<uint32_t> SelectOrder(R.RemovalOrder.rbegin(),
-                                      R.RemovalOrder.rend());
-    runParallelSelect(G, K, SelectOrder, SO, R.ColorOf, R.SelectRounds);
-    R.ParallelSelect = true;
-    if (Gov && Gov->exhausted()) {
-      // Repair was abandoned mid-round; the color array is partial and
-      // the spill derivation below would misread it.
-      SelectTimer.stop();
-      SelectSpan.close();
-      R.SimplifySeconds = SimplifyTimer.seconds();
-      R.SelectSeconds = SelectTimer.seconds();
-      return R;
-    }
-    for (uint32_t Node : SelectOrder) {
-      int32_t Color = R.ColorOf[Node];
-      if (Color < 0) {
-        assert(H != Heuristic::Chaitin &&
-               "Chaitin's stack nodes are always colorable");
-        R.Spilled.push_back(Node);
-        R.SpilledCost += G.node(Node).SpillCost;
-      } else {
-        R.NumColorsUsed = std::max(R.NumColorsUsed, unsigned(Color) + 1);
-        if (!StuckPushed.empty() && StuckPushed[Node])
-          ++OptimisticSaves; // a stuck-pushed node still found a color
-      }
-    }
-  } else {
+  if (!(Gov && Gov->exhausted())) {
     std::vector<bool> Used(K);
     std::vector<bool> Inserted(N, false);
     for (auto It = R.RemovalOrder.rbegin(), E = R.RemovalOrder.rend();
@@ -227,21 +189,6 @@ ColoringResult ra::colorGraph(const InterferenceGraph &G, unsigned K,
     if (H == Heuristic::Briggs)
       RA_TRACE_COUNTER("coloring.optimistic_saves", double(OptimisticSaves));
     RA_TRACE_COUNTER("coloring.spilled", double(R.Spilled.size()));
-    if (R.ParallelSelect) {
-      // Scheduling-dependent totals (they vary with thread count and
-      // interleaving, like wall time) — never compare across --jobs.
-      uint64_t Conflicts = 0, Recolored = 0;
-      for (size_t I = 0; I != R.SelectRounds.size(); ++I) {
-        Conflicts += R.SelectRounds[I].Conflicts;
-        if (I > 0)
-          Recolored += R.SelectRounds[I].Colored;
-      }
-      RA_TRACE_COUNTER("coloring.parallel.selects", 1);
-      RA_TRACE_COUNTER("coloring.parallel.rounds",
-                       double(R.SelectRounds.size()));
-      RA_TRACE_COUNTER("coloring.parallel.conflicts", double(Conflicts));
-      RA_TRACE_COUNTER("coloring.parallel.recolored", double(Recolored));
-    }
   }
 
   R.SimplifySeconds = SimplifyTimer.seconds();

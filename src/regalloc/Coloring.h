@@ -45,57 +45,6 @@ enum class Heuristic : uint8_t { Chaitin, Briggs, MatulaBeck };
 /// Printable heuristic name ("chaitin", "briggs", "matula-beck").
 const char *heuristicName(Heuristic H);
 
-/// Controls for the speculate-and-repair parallel Select phase
-/// (ParallelSelect.cpp). The parallel path reproduces the sequential
-/// greedy coloring *byte-identically* at any thread count — sequential
-/// Select is the unique fixpoint of "every node holds the lowest color
-/// unused by its earlier-ranked colored neighbors", and the repair
-/// rounds converge to exactly that fixpoint — so these knobs only move
-/// wall-clock time and scheduling-dependent round counts, never results.
-struct SelectOptions {
-  /// Off by default: the sequential loop in colorGraph stays the oracle.
-  bool Parallel = false;
-
-  /// Worker threads for the speculative rounds; 0 = one per hardware
-  /// thread (ThreadPool::resolveJobs).
-  unsigned Threads = 0;
-
-  /// Graphs whose select stack is smaller than this many nodes keep the
-  /// sequential path even when Parallel is set — below it, thread spawn
-  /// outweighs the work.
-  unsigned MinNodes = 2048;
-
-  /// Safety valve on the repair loop. Convergence is guaranteed in at
-  /// most stack-size rounds (the minimum-rank wrong node is fixed every
-  /// round); in practice a handful suffice. If this cap is ever hit, one
-  /// sequential sweep in rank order finishes the job exactly.
-  unsigned MaxRounds = 32;
-
-  /// Test hook: speculation chunk size in nodes. 0 (the default) carves
-  /// one contiguous chunk per thread; tests set small sizes to force
-  /// many cross-chunk boundaries (and thus conflicts) on small graphs.
-  unsigned ChunkSize = 0;
-
-  /// Resource-governance token (support/Budget.h), or null for the
-  /// ungoverned default. Simplify polls it per node removal, sequential
-  /// select per node, and the parallel engine per repair round; a trip
-  /// abandons the phase mid-flight, leaving the ColoringResult partial —
-  /// callers that govern must check the token before trusting a result.
-  Budget *Governor = nullptr;
-};
-
-/// What one speculate/detect/repair round of the parallel Select did.
-/// Counts and timings are scheduling-dependent (they vary with thread
-/// count and interleaving, like wall time) — only the resulting coloring
-/// is deterministic. Observability surfaces them under the trace
-/// "sched" category, which normalizedLog drops by design.
-struct SelectRound {
-  uint32_t Colored = 0;   ///< Nodes (re)colored this round.
-  uint32_t Checked = 0;   ///< Candidate nodes examined by detection.
-  uint32_t Conflicts = 0; ///< Nodes found wrong, to repair next round.
-  double Seconds = 0;     ///< Wall time of this round.
-};
-
 /// Outcome of one simplify+select run over a graph.
 struct ColoringResult {
   /// Color per node in [0, K), or -1 for spilled/uncolored nodes.
@@ -118,14 +67,6 @@ struct ColoringResult {
   /// Wall-clock seconds in the two phases (for Figure 7).
   double SimplifySeconds = 0, SelectSeconds = 0;
 
-  /// True when select ran the parallel speculate-and-repair engine
-  /// (coloring is still byte-identical to the sequential path).
-  bool ParallelSelect = false;
-
-  /// Per-round telemetry when ParallelSelect; empty otherwise. The first
-  /// entry is the speculation round, the rest are repair rounds.
-  std::vector<SelectRound> SelectRounds;
-
   bool success() const { return Spilled.empty(); }
 };
 
@@ -133,10 +74,12 @@ struct ColoringResult {
 /// Ties in the cost/degree spill metric break toward the lowest node id
 /// (the paper's footnote 4: "often something as trivial as a symbol
 /// table index"), consistently across heuristics.
-/// \p SO selects the Select-phase engine; the default keeps the
-/// sequential path, and the parallel engine produces the same result.
+/// \p Gov is an optional resource-governance token (support/Budget.h):
+/// simplify and select poll it per node, and a trip abandons the phase
+/// mid-flight, leaving the result partial — callers that govern must
+/// check the token before trusting a result.
 ColoringResult colorGraph(const InterferenceGraph &G, unsigned K,
-                          Heuristic H, const SelectOptions &SO = {});
+                          Heuristic H, Budget *Gov = nullptr);
 
 /// Checks that \p R is a valid (partial) coloring of \p G: no two
 /// adjacent nodes share a color and all colors are < \p K.

@@ -58,7 +58,7 @@ std::string field(const std::string &S) {
 
 std::string ra::metricsCsvHeader() {
   return "function,pass,name,class,degree,area,cost,cost_per_degree,"
-         "loop_depth,decision,color,coalesced_into,select_rounds\n";
+         "loop_depth,decision,color,coalesced_into\n";
 }
 
 void ra::appendMetricsCsv(std::string &Out, const std::string &FunctionName,
@@ -76,10 +76,6 @@ void ra::appendMetricsCsv(std::string &Out, const std::string &FunctionName,
     Out += "," + std::string(rangeDecisionName(R.D));
     Out += "," + (R.Color >= 0 ? std::to_string(R.Color) : std::string("-"));
     Out += "," + field(R.CoalescedInto);
-    // 0 = sequential Select; >0 = speculate/repair rounds the range's
-    // class graph took (scheduling-dependent, so golden runs keep the
-    // parallel engine off).
-    Out += "," + std::to_string(R.SelectRounds);
     Out += "\n";
   }
 }

@@ -20,7 +20,6 @@
 #include "support/Timer.h"
 #include "support/Trace.h"
 
-#include <algorithm>
 #include <future>
 #include <vector>
 
@@ -77,15 +76,6 @@ ModuleAllocationResult ra::allocateModule(Module &M,
           collectOne(F, C, [&] { return allocateRegisters(F, C); });
     }
   } else {
-    // When functions already fan out across the pool, divide the
-    // hardware budget for the intra-graph parallel Select between them
-    // instead of oversubscribing Jobs * hw threads. Results are
-    // identical at any split — the speculate-and-repair engine is
-    // thread-count-agnostic — so this only tunes contention.
-    AllocatorConfig WorkerC = C;
-    if (C.ParallelGraph && C.ParallelGraphJobs == 0)
-      WorkerC.ParallelGraphJobs =
-          std::max(1u, ThreadPool::resolveJobs(0) / Jobs);
     ThreadPool Pool(Jobs);
     std::vector<std::future<AllocationResult>> Pending;
     Pending.reserve(M.numFunctions());
@@ -93,8 +83,8 @@ ModuleAllocationResult ra::allocateModule(Module &M,
       Function &F = M.function(I);
       if (trace::enabled())
         RA_TRACE_INSTANT("TaskQueued", "sched", "@" + F.name());
-      Pending.push_back(Pool.submit([&F, &WorkerC] {
-        return allocateRegisters(F, WorkerC);
+      Pending.push_back(Pool.submit([&F, &C] {
+        return allocateRegisters(F, C);
       }));
     }
     for (unsigned I = 0; I < M.numFunctions(); ++I) {

@@ -132,30 +132,22 @@ void AllocationService::allocateParsed(Module &M, const AllocatorConfig &C,
   // Collection stays in function order, so output is bit-identical at
   // any pool width (the same argument allocateModule makes).
   if (!Misses.empty()) {
-    AllocatorConfig WorkerC = C;
     const unsigned Jobs = ThreadPool::resolveJobs(C.Jobs);
     const unsigned Width = std::min<unsigned>(Pool.numThreads(), Jobs);
     if (Width <= 1 || Misses.size() <= 1) {
       for (unsigned I : Misses) {
         Function &F = M.function(I);
         MA.Functions[I] = collectOne(
-            F, C, [&] { return allocateMiss(F, WorkerC, Optimize); });
+            F, C, [&] { return allocateMiss(F, C, Optimize); });
       }
     } else {
-      // Divide the intra-graph parallel-Select thread budget between
-      // concurrently allocating functions instead of oversubscribing —
-      // same tuning allocateModule applies, results identical at any
-      // split.
-      if (C.ParallelGraph && C.ParallelGraphJobs == 0)
-        WorkerC.ParallelGraphJobs =
-            std::max(1u, ThreadPool::resolveJobs(0) / Width);
       std::vector<std::future<AllocationResult>> Pending;
       Pending.reserve(Misses.size());
       for (unsigned I : Misses) {
         Function &F = M.function(I);
         Pending.push_back(Pool.submit(
-            [&F, &WorkerC, Optimize] {
-              return allocateMiss(F, WorkerC, Optimize);
+            [&F, &C, Optimize] {
+              return allocateMiss(F, C, Optimize);
             }));
       }
       for (size_t J = 0; J < Misses.size(); ++J)

@@ -6,6 +6,8 @@
 
 #include "service/Protocol.h"
 
+#include "support/ParseNumber.h"
+
 #include <cstring>
 
 using namespace ra;
@@ -140,6 +142,13 @@ struct Reader {
   bool done() const { return Off == P.size(); }
 };
 
+Status unknownAllocator(const std::string &Name) {
+  return Status::error(StatusCode::InvalidInput,
+                       "unknown allocator '" + Name +
+                           "' (expected chaitin, briggs, matula-beck, "
+                           "or linear-scan)");
+}
+
 Status truncated(const char *What) {
   return Status::error(StatusCode::InvalidInput,
                        std::string("truncated or overlong ") + What +
@@ -185,55 +194,103 @@ Status WireConfig::parse(const std::string &Text) {
                            "config token '" + Token +
                                "' is not of the form key=value");
     std::string Key = Token.substr(0, Eq), Val = Token.substr(Eq + 1);
-    auto AsBool = [&](bool &Out) {
-      Out = Val != "0";
-      return Status();
-    };
-    auto AsUnsigned = [&](unsigned &Out) {
-      Out = unsigned(std::strtoul(Val.c_str(), nullptr, 10));
-      return Status();
-    };
     Status S;
     if (Key == "allocator")
       Allocator = Val;
     else if (Key == "int")
-      S = AsUnsigned(IntK);
+      S = parseUnsigned(Val, IntK, 1, MaxRegs);
     else if (Key == "flt")
-      S = AsUnsigned(FltK);
+      S = parseUnsigned(Val, FltK, 1, MaxRegs);
     else if (Key == "opt")
-      S = AsBool(Optimize);
+      Optimize = Val != "0";
     else if (Key == "remat")
-      S = AsBool(Remat);
+      Remat = Val != "0";
     else if (Key == "split")
-      S = AsBool(Split);
+      Split = Val != "0";
     else if (Key == "audit")
-      S = AsBool(Audit);
+      Audit = Val != "0";
     else if (Key == "cache")
-      S = AsBool(UseCache);
+      UseCache = Val != "0";
     else if (Key == "print")
-      S = AsBool(Print);
+      Print = Val != "0";
     else if (Key == "deadline_ms")
-      DeadlineMs = std::strtod(Val.c_str(), nullptr);
+      S = parseNonNegative(Val, DeadlineMs);
     else if (Key == "mem_mb")
-      MemBudgetMb = std::strtoull(Val.c_str(), nullptr, 10);
+      S = parseUnsigned(Val, MemBudgetMb, 0, MaxMegabytes);
     else
       return Status::error(StatusCode::InvalidInput,
                            "unknown config key '" + Key + "'");
     if (!S.ok())
-      return S;
+      return S.addContext("config key '" + Key + "'");
   }
-  if (IntK < 1 || FltK < 1)
-    return Status::error(StatusCode::InvalidInput,
-                         "register files must hold at least one register");
   return Status();
+}
+
+bool WireConfig::parseFlag(int Argc, char **Argv, int &I, Status &Err) {
+  static const struct {
+    const char *Flag;
+    bool WireConfig::*Field;
+    bool Value;
+  } Switches[] = {
+      {"--no-opt", &WireConfig::Optimize, false},
+      {"--remat", &WireConfig::Remat, true},
+      {"--split", &WireConfig::Split, true},
+      {"--no-split", &WireConfig::Split, false},
+      {"--audit", &WireConfig::Audit, true},
+      {"--no-audit", &WireConfig::Audit, false},
+      {"--cache", &WireConfig::UseCache, true},
+      {"--no-cache", &WireConfig::UseCache, false},
+      {"--print", &WireConfig::Print, true},
+  };
+  const std::string Arg = Argv[I];
+  for (const auto &Sw : Switches)
+    if (Arg == Sw.Flag) {
+      this->*Sw.Field = Sw.Value;
+      return true;
+    }
+
+  // --heuristic predates the backend split and stays as an alias so
+  // existing scripts keep working; --allocator is the advertised name.
+  const bool IsAllocator = Arg == "--allocator" || Arg == "--heuristic";
+  if (!IsAllocator && Arg != "--int" && Arg != "--flt" &&
+      Arg != "--deadline-ms" && Arg != "--mem-budget-mb")
+    return false;
+  Status S;
+  if (I + 1 >= Argc) {
+    S = Status::error(StatusCode::InvalidInput, "missing value");
+  } else {
+    const std::string Val = Argv[++I];
+    Backend B;
+    Heuristic H;
+    if (IsAllocator && parseAllocatorName(Val, B, H))
+      Allocator = Val;
+    else if (IsAllocator)
+      S = unknownAllocator(Val);
+    else if (Arg == "--int")
+      S = parseUnsigned(Val, IntK, 1, MaxRegs);
+    else if (Arg == "--flt")
+      S = parseUnsigned(Val, FltK, 1, MaxRegs);
+    else if (Arg == "--deadline-ms")
+      S = parseNonNegative(Val, DeadlineMs);
+    else
+      S = parseUnsigned(Val, MemBudgetMb, 0, MaxMegabytes);
+  }
+  if (!S.ok())
+    Err = S.addContext(Arg);
+  return true;
+}
+
+const char *WireConfig::flagUsage() {
+  return "       [--allocator chaitin|briggs|matula-beck|linear-scan]\n"
+         "       [--int K] [--flt K] [--no-opt] [--remat]\n"
+         "       [--split] [--no-split] [--audit] [--no-audit]\n"
+         "       [--cache] [--no-cache] [--print]\n"
+         "       [--deadline-ms N] [--mem-budget-mb N]\n";
 }
 
 Status WireConfig::apply(AllocatorConfig &C) const {
   if (!parseAllocatorName(Allocator, C.B, C.H))
-    return Status::error(StatusCode::InvalidInput,
-                         "unknown allocator '" + Allocator +
-                             "' (expected chaitin, briggs, matula-beck, "
-                             "or linear-scan)");
+    return unknownAllocator(Allocator);
   C.Machine = MachineInfo(IntK, FltK);
   C.Rematerialize = Remat;
   C.SplitIntervals = Split;

@@ -89,10 +89,18 @@ private:
 };
 
 /// The per-request allocation configuration, rendered as one
-/// space-separated "k=v" text line. Unknown keys are a parse error —
-/// a client speaking a newer dialect must fail loudly, not silently
-/// lose a knob.
+/// space-separated "k=v" text line. Unknown keys and out-of-range
+/// values are a parse error — a client speaking a newer dialect must
+/// fail loudly, not silently lose a knob.
+///
+/// It is also the one place rac and racc read their shared allocator
+/// flags (parseFlag), so the two front ends cannot drift apart.
 struct WireConfig {
+  /// Largest register file a request may ask for: far above any real
+  /// machine, small enough that Select's per-node color scan and the
+  /// simulator's register file stay cheap.
+  static constexpr unsigned MaxRegs = 1024;
+
   std::string Allocator = "briggs"; ///< rac --allocator spellings.
   unsigned IntK = 16, FltK = 8;
   bool Optimize = true;
@@ -106,6 +114,16 @@ struct WireConfig {
 
   std::string render() const;
   Status parse(const std::string &Text);
+
+  /// Consumes Argv[I] — and its value, advancing \p I — when it is one
+  /// of the allocator flags rac and racc share (see flagUsage). Returns
+  /// false for any other argument, leaving \p I and the config as they
+  /// were. A recognized flag with a missing or invalid value returns
+  /// true and sets \p Err.
+  bool parseFlag(int Argc, char **Argv, int &I, Status &Err);
+
+  /// Usage lines for every flag parseFlag accepts.
+  static const char *flagUsage();
 
   /// Resolves into the allocator configuration (validating Allocator).
   /// \p C starts from defaults; only wire-carried fields are set.

@@ -36,6 +36,11 @@ namespace ra {
 /// the destructor; queued tasks all run before shutdown completes.
 class ThreadPool {
 public:
+  /// Largest worker count the command-line tools accept: far above any
+  /// real host, low enough that a typo cannot request billions of
+  /// threads.
+  static constexpr unsigned MaxThreads = 1024;
+
   /// Starts \p NumThreads workers; 0 means one per hardware thread.
   explicit ThreadPool(unsigned NumThreads = 0);
 

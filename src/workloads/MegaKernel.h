@@ -8,13 +8,13 @@
 /// A generated family of "mega-kernels": single functions whose
 /// interference graphs reach tens of thousands of live ranges. The
 /// paper's Figure 5 routines top out at a few hundred ranges, which is
-/// too small for any intra-graph parallelism to show; these shapes make
-/// the parallel Select phase (ParallelSelect.h) measurable while
-/// staying verifier-clean, terminating, and executable — every kernel
+/// too small to show how each phase scales; these shapes make the
+/// O(N^2) build and the front end measurable while staying
+/// verifier-clean, terminating, and executable — every kernel
 /// folds its values into a store + return, so the simulator can compare
 /// runs before and after allocation exactly.
 ///
-/// Three shapes, each stressing a different Select profile:
+/// Three shapes, each stressing a different coloring profile:
 ///  * pressure ramp — one straight-line block where a ring of Width
 ///    values is repeatedly combined and replaced: ~Ranges short
 ///    overlapping ranges of near-uniform degree ~2*Width.

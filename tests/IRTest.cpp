@@ -153,6 +153,10 @@ struct ParserErrorCase {
   const char *ExpectInMessage;
 };
 
+// Without this gtest prints the case as raw bytes, i.e. the string
+// pointers, which move with ASLR and leak into the discovered ctest names.
+void PrintTo(const ParserErrorCase &C, std::ostream *OS) { *OS << C.Name; }
+
 class ParserErrors : public ::testing::TestWithParam<ParserErrorCase> {};
 
 TEST_P(ParserErrors, RejectsWithDiagnostic) {

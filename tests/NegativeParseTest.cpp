@@ -28,6 +28,10 @@ struct ParseCase {
   const char *ExpectedError; ///< exact "line N: message"
 };
 
+// Without this gtest prints the case as raw bytes, i.e. the string
+// pointers, which move with ASLR and leak into the discovered ctest names.
+void PrintTo(const ParseCase &C, std::ostream *OS) { *OS << C.Name; }
+
 const ParseCase ParseCases[] = {
     {"MissingModuleKeyword", "modul {\n}\n", "line 1: expected 'module'"},
     {"UnexpectedCharacter", "module { $ }\n",

@@ -371,13 +371,13 @@ TEST(AllocateModuleTest, WorkerExceptionFailsOnlyThatFunction) {
 }
 
 TEST(AllocateModuleTest, WorkerExceptionDoesNotPoisonSiblingBudgets) {
-  // The hardest combination: pool workers, in-graph parallel Select,
-  // per-function budgets, and one function that throws mid-allocation.
-  // The thrown function must come back Failed/WorkerError; every
-  // sibling must still produce a usable (Converged or Degraded)
-  // allocation with its *own* budget telemetry — a worker's death must
-  // not leak pool threads or latch a sibling's budget token. Running
-  // the whole thing twice in one process proves the pool survives.
+  // The hardest combination: pool workers, per-function budgets, and
+  // one function that throws mid-allocation. The thrown function must
+  // come back Failed/WorkerError; every sibling must still produce a
+  // usable (Converged or Degraded) allocation with its *own* budget
+  // telemetry — a worker's death must not leak pool threads or latch a
+  // sibling's budget token. Running the whole thing twice in one
+  // process proves the pool survives.
   for (int Round = 0; Round < 2; ++Round) {
     Module M;
     buildWorkloadModule(M, 7000);
@@ -386,9 +386,6 @@ TEST(AllocateModuleTest, WorkerExceptionDoesNotPoisonSiblingBudgets) {
 
     AllocatorConfig C;
     C.Jobs = 4;
-    C.ParallelGraph = true;
-    C.ParallelGraphJobs = 3;
-    C.ParallelGraphMinNodes = 0;
     C.DeadlineSeconds = 30;                 // generous: must not trip
     C.MemoryBudgetBytes = 1ull << 30;
     C.FaultInject.ThrowInFunction = Victim;

@@ -10,7 +10,9 @@
 //    corrupt length prefixes without crashing or allocating unboundedly;
 //  * every message round-trips encode -> decode, and truncated payloads
 //    decode to structured errors, never out-of-bounds reads;
-//  * WireConfig's "k=v" line round-trips and rejects unknown keys;
+//  * WireConfig's "k=v" line round-trips and rejects unknown keys and
+//    out-of-range values, and its command-line parser (shared by rac
+//    and racc) applies the same rules;
 //  * RacdServer::handleFrame answers a replayed AllocRequest from the
 //    cache, serves stats, and acknowledges Shutdown by ending the
 //    connection.
@@ -23,6 +25,8 @@
 #include "service/Server.h"
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 using namespace ra;
 using namespace ra::service;
@@ -211,6 +215,111 @@ TEST(ProtocolTest, WireConfigRoundTripsAndRejectsUnknownKeys) {
   ASSERT_FALSE(S.ok());
   EXPECT_NE(S.toString().find("unknown allocator 'bogus'"),
             std::string::npos);
+}
+
+TEST(ProtocolTest, WireConfigRejectsInvalidNumbers) {
+  // Each of these used to be read by strtoul/strtod into a silent 0, a
+  // wrapped huge value, or (mem_mb) a byte count that wrapped to 0 —
+  // "unbounded" — after the << 20.
+  for (const char *Token :
+       {"int=0", "int=-1", "int=abc", "int=4x", "int=", "int=1025",
+        "int=99999999999999999999", "flt=0", "deadline_ms=-1",
+        "deadline_ms=nan", "deadline_ms=inf", "deadline_ms=5ms",
+        "mem_mb=-1", "mem_mb=17592186044416", "mem_mb=1e3"}) {
+    WireConfig C;
+    const std::string Before = C.render();
+    Status S = C.parse(Token);
+    EXPECT_FALSE(S.ok()) << Token;
+    EXPECT_EQ(S.code(), StatusCode::InvalidInput) << Token;
+    const std::string Key = std::string(Token).substr(
+        0, std::string(Token).find('='));
+    EXPECT_NE(S.toString().find("config key '" + Key + "'"),
+              std::string::npos)
+        << S.toString();
+    EXPECT_EQ(C.render(), Before) << Token << " half-applied";
+  }
+
+  // The largest budget whose byte count fits in 64 bits is accepted and
+  // stays a real (non-zero) limit.
+  WireConfig Max;
+  ASSERT_TRUE(Max.parse("int=1024 flt=1 mem_mb=17592186044415 "
+                        "deadline_ms=0.5").ok());
+  AllocatorConfig AC;
+  ASSERT_TRUE(Max.apply(AC).ok());
+  EXPECT_EQ(AC.Machine.numRegs(RegClass::Int), 1024u);
+  EXPECT_EQ(AC.MemoryBudgetBytes, 17592186044415ull << 20);
+  EXPECT_NE(AC.MemoryBudgetBytes, 0u);
+  EXPECT_EQ(AC.DeadlineSeconds, 0.5 / 1e3);
+}
+
+/// Runs WireConfig::parseFlag over \p Args the way rac and racc do.
+/// Returns the first error, and collects arguments it did not consume.
+Status parseFlags(WireConfig &C, std::vector<std::string> Args,
+                  std::vector<std::string> &Rest) {
+  std::vector<char *> Argv{const_cast<char *>("tool")};
+  for (std::string &A : Args)
+    Argv.push_back(A.data());
+  for (int I = 1; I < int(Argv.size()); ++I) {
+    Status Err;
+    if (!C.parseFlag(int(Argv.size()), Argv.data(), I, Err))
+      Rest.push_back(Argv[I]);
+    else if (!Err.ok())
+      return Err;
+  }
+  return Status();
+}
+
+TEST(ProtocolTest, ParseFlagFillsTheWireConfigRacAndRaccShare) {
+  WireConfig C;
+  std::vector<std::string> Rest;
+  ASSERT_TRUE(parseFlags(C,
+                         {"--heuristic", "chaitin", "in.ral", "--int", "4",
+                          "--flt", "3", "--no-opt", "--remat", "--no-split",
+                          "--no-audit", "--no-cache", "--print", "--run",
+                          "--deadline-ms", "2.5", "--mem-budget-mb", "7"},
+                         Rest)
+                  .ok());
+  EXPECT_EQ(Rest, (std::vector<std::string>{"in.ral", "--run"}));
+  EXPECT_EQ(C.Allocator, "chaitin");
+  EXPECT_FALSE(C.Optimize);
+  EXPECT_FALSE(C.UseCache);
+  EXPECT_TRUE(C.Print);
+
+  AllocatorConfig AC;
+  ASSERT_TRUE(C.apply(AC).ok());
+  EXPECT_EQ(AC.B, Backend::GraphColoring);
+  EXPECT_EQ(AC.H, Heuristic::Chaitin);
+  EXPECT_EQ(AC.Machine.numRegs(RegClass::Int), 4u);
+  EXPECT_EQ(AC.Machine.numRegs(RegClass::Float), 3u);
+  EXPECT_TRUE(AC.Rematerialize);
+  EXPECT_FALSE(AC.SplitIntervals);
+  EXPECT_FALSE(AC.Audit);
+  EXPECT_EQ(AC.DeadlineSeconds, 2.5 / 1e3);
+  EXPECT_EQ(AC.MemoryBudgetBytes, 7ull << 20);
+
+  // The flags round-trip through the wire unchanged.
+  WireConfig Back;
+  ASSERT_TRUE(Back.parse(C.render()).ok());
+  EXPECT_EQ(Back.render(), C.render());
+}
+
+TEST(ProtocolTest, ParseFlagRejectsBadValuesWithTheFlagName) {
+  const std::vector<std::vector<std::string>> Bad = {
+      {"--int", "0"},          {"--int", "abc"},
+      {"--flt", "-2"},         {"--int", "8junk"},
+      {"--flt"},               {"--deadline-ms", "-1"},
+      {"--deadline-ms", "x"},  {"--mem-budget-mb", "17592186044416"},
+      {"--allocator", "bogus"}};
+  for (const std::vector<std::string> &Args : Bad) {
+    WireConfig C;
+    std::vector<std::string> Rest;
+    Status S = parseFlags(C, Args, Rest);
+    ASSERT_FALSE(S.ok()) << Args[0];
+    EXPECT_EQ(S.code(), StatusCode::InvalidInput);
+    EXPECT_EQ(S.toString().rfind("invalid-input: " + Args[0] + ": ", 0),
+              0u)
+        << S.toString();
+  }
 }
 
 TEST(ProtocolTest, HandleFrameServesWarmRepliesStatsAndShutdown) {

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/BitVector.h"
+#include "support/ParseNumber.h"
 #include "support/Rng.h"
 #include "support/Status.h"
 #include "support/Table.h"
@@ -256,6 +257,43 @@ TEST(StatusTest, AddContextIsNoOpOnOk) {
   S.addContext("should vanish");
   EXPECT_TRUE(S.ok());
   EXPECT_EQ(S.toString(), "ok");
+}
+
+TEST(ParseNumberTest, UnsignedAcceptsExactlyTheRange) {
+  uint64_t V = 7;
+  EXPECT_TRUE(parseUnsigned("18446744073709551615", V).ok());
+  EXPECT_EQ(V, UINT64_MAX);
+  EXPECT_FALSE(parseUnsigned("18446744073709551616", V).ok());
+  EXPECT_EQ(V, UINT64_MAX) << "a refused value leaves the output alone";
+
+  unsigned U = 0;
+  EXPECT_TRUE(parseUnsigned("0042", U, 1, 42).ok());
+  EXPECT_EQ(U, 42u);
+  EXPECT_FALSE(parseUnsigned("43", U, 1, 42).ok());
+  EXPECT_FALSE(parseUnsigned("0", U, 1, 42).ok());
+  EXPECT_FALSE(parseUnsigned("4294967296", U).ok());
+  EXPECT_FALSE(parseUnsigned("5", U, 0, 4).ok()) << "digit above Max";
+
+  for (const char *Bad : {"", "-1", "+1", " 1", "1 ", "1x", "0x10", "1.0"})
+    EXPECT_FALSE(parseUnsigned(Bad, U).ok()) << "'" << Bad << "'";
+  Status S = parseUnsigned("-1", U, 0, 1024);
+  EXPECT_EQ(S.code(), StatusCode::InvalidInput);
+  EXPECT_EQ(S.toString(),
+            "invalid-input: expected an integer in [0, 1024], got '-1'");
+}
+
+TEST(ParseNumberTest, NonNegativeRefusesSignsJunkAndNonFinite) {
+  double D = -1;
+  EXPECT_TRUE(parseNonNegative("0.01", D).ok());
+  EXPECT_EQ(D, 0.01);
+  EXPECT_TRUE(parseNonNegative(".5", D).ok());
+  EXPECT_EQ(D, 0.5);
+  EXPECT_TRUE(parseNonNegative("250", D).ok());
+  EXPECT_EQ(D, 250.0);
+  for (const char *Bad :
+       {"", "-1", "+1", " 1", "1 ", "1ms", "inf", "nan", "1e400"})
+    EXPECT_FALSE(parseNonNegative(Bad, D).ok()) << "'" << Bad << "'";
+  EXPECT_EQ(D, 250.0);
 }
 
 } // namespace

@@ -13,17 +13,10 @@
 //                        heuristics, or the linear-scan interval walker
 //   --heuristic NAME     deprecated alias for --allocator (coloring
 //                        spellings only)
-//   --int K / --flt K    register file sizes (16 / 8)
+//   --int K / --flt K    register file sizes (16 / 8; at most 1024)
 //   --jobs N             allocate functions on N pool workers
 //                        (0 = one per hardware thread; output is
 //                        bit-identical at any setting)
-//   --parallel-graph[=N] speculate-and-repair parallel Select inside
-//                        each interference graph on N threads (0 = one
-//                        per hardware thread); byte-identical to the
-//                        sequential phase at any N
-//   --parallel-graph-min N
-//                        smallest select stack that engages the
-//                        parallel engine (default 2048)
 //   --no-opt             skip LICM/strength reduction/value numbering
 //   --remat              rematerialize constant spills
 //   --split / --no-split interval splitting in the linear-scan backend
@@ -49,6 +42,10 @@
 //   --trace[=]FILE       write a Chrome/Perfetto trace of the run
 //   --metrics[=]FILE     write the per-live-range metrics table (CSV)
 //
+// The allocator flags (--allocator through --print) are parsed by
+// WireConfig::parseFlag, the same code racc uses; a malformed value is an
+// invalid-input diagnostic and exit 1.
+//
 // Every input file is processed even after an earlier one fails, so a
 // batch run reports one structured diagnostic per broken input instead
 // of dying at the first. Exit status: 0 only when every file parsed,
@@ -65,9 +62,12 @@
 #include "ir/IRPrinter.h"
 #include "regalloc/Allocator.h"
 #include "service/AllocationService.h"
+#include "service/Protocol.h"
 #include "sim/Simulator.h"
+#include "support/ParseNumber.h"
 #include "support/Status.h"
 #include "support/Table.h"
+#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <cstdio>
@@ -82,27 +82,22 @@ using service::AllocationService;
 using service::ServiceConfig;
 using service::ServiceReply;
 using service::ServiceRequest;
+using service::WireConfig;
 
 namespace {
 
 void usage(const char *Prog) {
   std::fprintf(
       stderr,
-      "usage: %s FILE.ral... "
-      "[--allocator chaitin|briggs|matula-beck|linear-scan]\n"
-      "       [--int K] [--flt K] [--jobs N] [--no-opt] [--remat]\n"
-      "       [--parallel-graph[=N]] [--parallel-graph-min N]\n"
-      "       [--split] [--no-split]\n"
-      "       [--deadline-ms N] [--mem-budget-mb N]\n"
-      "       [--audit] [--no-audit] [--cache] [--no-cache]\n"
-      "       [--print] [--run] [--quiet]\n"
+      "usage: %s FILE.ral...\n%s"
+      "       [--jobs N] [--run] [--quiet]\n"
       "       [--bench-json FILE] [--trace FILE] [--metrics FILE]\n"
       "\n"
       "  --allocator picks the allocation backend: one of the paper's\n"
       "  coloring heuristics (chaitin, briggs, matula-beck) or the\n"
       "  linear-scan interval allocator (linear-scan).\n"
       "  --heuristic NAME is a deprecated alias for --allocator.\n",
-      Prog);
+      Prog, WireConfig::flagUsage());
 }
 
 /// Prints a failure as "rac: <file>: <status rendering>".
@@ -111,38 +106,11 @@ void report(const std::string &Path, const Status &S) {
 }
 
 struct Options {
-  Backend B = Backend::GraphColoring;
-  Heuristic H = Heuristic::Briggs;
-  unsigned IntK = 16, FltK = 8, Jobs = 1;
-  bool ParallelGraph = false;          ///< --parallel-graph
-  unsigned ParallelGraphJobs = 0;      ///< thread count (0 = hardware)
-  unsigned ParallelGraphMinNodes = 2048; ///< --parallel-graph-min
-  bool Optimize = true, Remat = false, Audit = true, Split = true;
-  bool Cache = true;       ///< --cache / --no-cache
-  bool Print = false, Run = false, Quiet = false;
-  double DeadlineMs = 0;       ///< --deadline-ms (0 = unbounded)
-  uint64_t MemBudgetMb = 0;    ///< --mem-budget-mb (0 = unbounded)
+  WireConfig Cfg;          ///< Allocator flags shared with racc.
+  AllocatorConfig Alloc;   ///< Cfg resolved, plus --jobs and --metrics.
+  bool Run = false, Quiet = false;
   std::string TracePath;   ///< --trace: Chrome trace JSON output.
   std::string MetricsPath; ///< --metrics: per-range CSV output.
-
-  /// The allocator configuration these options describe.
-  AllocatorConfig alloc() const {
-    AllocatorConfig C;
-    C.B = B;
-    C.H = H;
-    C.Machine = MachineInfo(IntK, FltK);
-    C.Rematerialize = Remat;
-    C.SplitIntervals = Split;
-    C.Jobs = Jobs;
-    C.ParallelGraph = ParallelGraph;
-    C.ParallelGraphJobs = ParallelGraphJobs;
-    C.ParallelGraphMinNodes = ParallelGraphMinNodes;
-    C.Audit = Audit;
-    C.DeadlineSeconds = DeadlineMs / 1e3;
-    C.MemoryBudgetBytes = MemBudgetMb << 20;
-    C.CollectMetrics = !MetricsPath.empty();
-    return C;
-  }
 };
 
 /// Aggregated telemetry across all input files for --bench-json.
@@ -165,9 +133,9 @@ Status processFile(AllocationService &Svc, const std::string &Path,
 
   ServiceRequest Req;
   Req.Source = Buffer.str();
-  Req.Alloc = Opt.alloc();
-  Req.Optimize = Opt.Optimize;
-  Req.UseCache = Opt.Cache;
+  Req.Alloc = Opt.Alloc;
+  Req.Optimize = Opt.Cfg.Optimize;
+  Req.UseCache = Opt.Cfg.UseCache;
   ServiceReply Reply = Svc.run(Req);
   if (!Reply.S.ok())
     return Reply.S;
@@ -209,7 +177,7 @@ Status processFile(AllocationService &Svc, const std::string &Path,
                   Table::withCommas(A.Stats.SpillCode.Remats),
                   Table::withCommas(F.numInstructions() * 4)});
 
-    if (Opt.Print)
+    if (Opt.Cfg.Print)
       std::printf("%s", printFunction(M, F).c_str());
 
     if (Opt.Run) {
@@ -237,11 +205,11 @@ Status processFile(AllocationService &Svc, const std::string &Path,
 
   if (!Opt.Quiet) {
     std::printf("%s: %s allocator, %u int / %u flt registers%s%s%s\n",
-                Path.c_str(), allocatorName(Opt.B, Opt.H), Opt.IntK,
-                Opt.FltK,
-                Opt.Optimize ? ", optimized" : "",
-                Opt.Remat ? ", rematerialization" : "",
-                Opt.Audit ? ", audited" : "");
+                Path.c_str(), allocatorName(Opt.Alloc.B, Opt.Alloc.H),
+                Opt.Cfg.IntK, Opt.Cfg.FltK,
+                Opt.Cfg.Optimize ? ", optimized" : "",
+                Opt.Cfg.Remat ? ", rematerialization" : "",
+                Opt.Cfg.Audit ? ", audited" : "");
     Stats.print();
   }
 
@@ -268,56 +236,13 @@ int main(int Argc, char **Argv) {
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    if ((Arg == "--allocator" || Arg == "--heuristic") && I + 1 < Argc) {
-      // --heuristic predates the backend split and stays as an alias so
-      // existing scripts keep working; --allocator is the spelling the
-      // help text advertises.
-      std::string Name = Argv[++I];
-      if (!parseAllocatorName(Name, Opt.B, Opt.H)) {
-        Status S =
-            Status::error(StatusCode::InvalidInput,
-                          "unknown allocator '" + Name +
-                              "' (expected chaitin, briggs, "
-                              "matula-beck, or linear-scan)")
-                .addContext(Arg);
-        std::fprintf(stderr, "rac: %s\n", S.toString().c_str());
-        return 1;
-      }
-    } else if (Arg == "--int" && I + 1 < Argc) {
-      Opt.IntK = unsigned(std::atoi(Argv[++I]));
-    } else if (Arg == "--flt" && I + 1 < Argc) {
-      Opt.FltK = unsigned(std::atoi(Argv[++I]));
+    Status Err;
+    if (Opt.Cfg.parseFlag(Argc, Argv, I, Err)) {
+      // an allocator flag; Err reports a bad value
     } else if (Arg == "--jobs" && I + 1 < Argc) {
-      Opt.Jobs = unsigned(std::atoi(Argv[++I]));
-    } else if (Arg == "--parallel-graph") {
-      Opt.ParallelGraph = true;
-    } else if (Arg.rfind("--parallel-graph=", 0) == 0) {
-      Opt.ParallelGraph = true;
-      Opt.ParallelGraphJobs = unsigned(std::atoi(Arg.c_str() + 17));
-    } else if (Arg == "--parallel-graph-min" && I + 1 < Argc) {
-      Opt.ParallelGraphMinNodes = unsigned(std::atoi(Argv[++I]));
-    } else if (Arg == "--deadline-ms" && I + 1 < Argc) {
-      Opt.DeadlineMs = std::atof(Argv[++I]);
-    } else if (Arg == "--mem-budget-mb" && I + 1 < Argc) {
-      Opt.MemBudgetMb = uint64_t(std::atoll(Argv[++I]));
-    } else if (Arg == "--no-opt") {
-      Opt.Optimize = false;
-    } else if (Arg == "--remat") {
-      Opt.Remat = true;
-    } else if (Arg == "--split") {
-      Opt.Split = true;
-    } else if (Arg == "--no-split") {
-      Opt.Split = false;
-    } else if (Arg == "--audit") {
-      Opt.Audit = true;
-    } else if (Arg == "--no-audit") {
-      Opt.Audit = false;
-    } else if (Arg == "--cache") {
-      Opt.Cache = true;
-    } else if (Arg == "--no-cache") {
-      Opt.Cache = false;
-    } else if (Arg == "--print") {
-      Opt.Print = true;
+      Err = parseUnsigned(Argv[++I], Opt.Alloc.Jobs, 0,
+                          ThreadPool::MaxThreads)
+                .addContext(Arg);
     } else if (Arg == "--run") {
       Opt.Run = true;
     } else if (Arg == "--quiet") {
@@ -340,18 +265,27 @@ int main(int Argc, char **Argv) {
     } else {
       Paths.push_back(Arg);
     }
+    if (!Err.ok()) {
+      std::fprintf(stderr, "rac: %s\n", Err.toString().c_str());
+      return 1;
+    }
   }
   if (Paths.empty()) {
     usage(Argv[0]);
     return 1;
   }
+  if (Status S = Opt.Cfg.apply(Opt.Alloc); !S.ok()) {
+    std::fprintf(stderr, "rac: %s\n", S.toString().c_str());
+    return 1;
+  }
+  Opt.Alloc.CollectMetrics = !Opt.MetricsPath.empty();
 
   // One service instance spans the whole batch, so a function repeated
   // across input files (or files repeated on the command line) is
   // allocated once and served from the cache after that.
   ServiceConfig SC;
-  SC.CacheEnabled = Opt.Cache;
-  SC.Workers = Opt.Jobs;
+  SC.CacheEnabled = Opt.Cfg.UseCache;
+  SC.Workers = Opt.Alloc.Jobs;
   AllocationService Svc(SC);
 
   Telemetry T;
@@ -398,12 +332,10 @@ int main(int Argc, char **Argv) {
   if (!JsonPath.empty()) {
     service::CacheStats CS = Svc.cacheStats();
     BenchJson J("rac");
-    J.set("allocator", std::string(allocatorName(Opt.B, Opt.H)));
-    J.set("backend", std::string(backendName(Opt.B)));
-    J.set("heuristic", std::string(heuristicName(Opt.H)));
-    J.set("jobs", Opt.Jobs);
-    J.set("parallel_graph", Opt.ParallelGraph ? 1 : 0);
-    J.set("parallel_graph_jobs", Opt.ParallelGraphJobs);
+    J.set("allocator", std::string(allocatorName(Opt.Alloc.B, Opt.Alloc.H)));
+    J.set("backend", std::string(backendName(Opt.Alloc.B)));
+    J.set("heuristic", std::string(heuristicName(Opt.Alloc.H)));
+    J.set("jobs", Opt.Alloc.Jobs);
     J.set("functions", T.Functions);
     J.set("wall_seconds", T.Wall);
     J.set("graphs_colored", T.Graphs);
@@ -412,7 +344,7 @@ int main(int Argc, char **Argv) {
     J.set("phases.simplify_seconds", T.Simplify);
     J.set("phases.select_seconds", T.Select);
     J.set("phases.spill_seconds", T.Spill);
-    J.set("cache.enabled", Opt.Cache ? 1 : 0);
+    J.set("cache.enabled", Opt.Cfg.UseCache ? 1 : 0);
     J.set("cache.hits", CS.Hits);
     J.set("cache.misses", CS.Misses);
     J.set("cache.insertions", CS.Insertions);

@@ -10,13 +10,11 @@
 //   racc --socket PATH --stats                 print daemon cache stats
 //   racc --socket PATH --shutdown              stop the daemon cleanly
 //
-//   --allocator NAME     chaitin|briggs|matula-beck|linear-scan (briggs)
-//   --int K / --flt K    register file sizes (16 / 8)
-//   --no-opt / --remat / --split / --no-split / --audit / --no-audit
-//                        mirror the rac flags of the same names
-//   --no-cache           ask the daemon to bypass its allocation cache
-//   --deadline-ms N / --mem-budget-mb N
-//                        per-function resource governance
+//   --allocator NAME / --int K / --flt K / --no-opt / --remat /
+//   --[no-]split / --[no-]audit / --[no-]cache / --deadline-ms N /
+//   --mem-budget-mb N    the rac flags of the same names, parsed by the
+//                        same code (WireConfig::parseFlag); --no-cache
+//                        asks the daemon to bypass its allocation cache
 //   --print              print each allocated function exactly as
 //                        `rac --print --quiet` would — `diff` against a
 //                        local rac run is the service's equivalence
@@ -32,7 +30,6 @@
 #include "service/Server.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -47,14 +44,11 @@ namespace {
 void usage(const char *Prog) {
   std::fprintf(
       stderr,
-      "usage: %s --socket PATH FILE.ral...\n"
-      "       [--allocator chaitin|briggs|matula-beck|linear-scan]\n"
-      "       [--int K] [--flt K] [--no-opt] [--remat]\n"
-      "       [--split] [--no-split] [--audit] [--no-audit] [--no-cache]\n"
-      "       [--deadline-ms N] [--mem-budget-mb N] [--print] [--quiet]\n"
+      "usage: %s --socket PATH FILE.ral...\n%s"
+      "       [--quiet]\n"
       "   or: %s --socket PATH --stats\n"
       "   or: %s --socket PATH --shutdown\n",
-      Prog, Prog, Prog);
+      Prog, WireConfig::flagUsage(), Prog, Prog);
 }
 
 /// One request/reply over the connected socket; protocol-level Error
@@ -84,38 +78,18 @@ int main(int Argc, char **Argv) {
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    if (Arg == "--socket" && I + 1 < Argc) {
+    Status Err;
+    if (Cfg.parseFlag(Argc, Argv, I, Err)) {
+      if (!Err.ok()) {
+        std::fprintf(stderr, "racc: %s\n", Err.toString().c_str());
+        return 1;
+      }
+    } else if (Arg == "--socket" && I + 1 < Argc) {
       SocketPath = Argv[++I];
     } else if (Arg == "--stats") {
       Stats = true;
     } else if (Arg == "--shutdown") {
       Shutdown = true;
-    } else if (Arg == "--allocator" && I + 1 < Argc) {
-      Cfg.Allocator = Argv[++I];
-    } else if (Arg == "--int" && I + 1 < Argc) {
-      Cfg.IntK = unsigned(std::atoi(Argv[++I]));
-    } else if (Arg == "--flt" && I + 1 < Argc) {
-      Cfg.FltK = unsigned(std::atoi(Argv[++I]));
-    } else if (Arg == "--no-opt") {
-      Cfg.Optimize = false;
-    } else if (Arg == "--remat") {
-      Cfg.Remat = true;
-    } else if (Arg == "--split") {
-      Cfg.Split = true;
-    } else if (Arg == "--no-split") {
-      Cfg.Split = false;
-    } else if (Arg == "--audit") {
-      Cfg.Audit = true;
-    } else if (Arg == "--no-audit") {
-      Cfg.Audit = false;
-    } else if (Arg == "--no-cache") {
-      Cfg.UseCache = false;
-    } else if (Arg == "--deadline-ms" && I + 1 < Argc) {
-      Cfg.DeadlineMs = std::atof(Argv[++I]);
-    } else if (Arg == "--mem-budget-mb" && I + 1 < Argc) {
-      Cfg.MemBudgetMb = uint64_t(std::atoll(Argv[++I]));
-    } else if (Arg == "--print") {
-      Cfg.Print = true;
     } else if (Arg == "--quiet") {
       Quiet = true;
     } else if (Arg == "--help" || Arg == "-h") {

@@ -31,10 +31,10 @@
 
 #include "service/AllocationService.h"
 #include "service/Server.h"
+#include "support/ParseNumber.h"
+#include "support/ThreadPool.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 
@@ -60,16 +60,19 @@ int main(int Argc, char **Argv) {
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
+    Status Err;
     if (Arg == "--socket" && I + 1 < Argc) {
       SocketPath = Argv[++I];
     } else if (Arg == "--stdio") {
       Stdio = true;
     } else if (Arg == "--workers" && I + 1 < Argc) {
-      SC.Workers = unsigned(std::atoi(Argv[++I]));
+      Err = parseUnsigned(Argv[++I], SC.Workers, 0, ThreadPool::MaxThreads);
     } else if (Arg == "--cache-entries" && I + 1 < Argc) {
-      SC.CacheMaxEntries = uint64_t(std::atoll(Argv[++I]));
+      Err = parseUnsigned(Argv[++I], SC.CacheMaxEntries);
     } else if (Arg == "--cache-mb" && I + 1 < Argc) {
-      SC.CacheMaxBytes = uint64_t(std::atoll(Argv[++I])) << 20;
+      uint64_t Mb = SC.CacheMaxBytes >> 20;
+      Err = parseUnsigned(Argv[++I], Mb, 0, MaxMegabytes);
+      SC.CacheMaxBytes = Mb << 20;
     } else if (Arg == "--no-cache") {
       SC.CacheEnabled = false;
     } else if (Arg == "--stats-csv" && I + 1 < Argc) {
@@ -80,6 +83,11 @@ int main(int Argc, char **Argv) {
     } else {
       std::fprintf(stderr, "racd: unknown option '%s'\n", Arg.c_str());
       usage(Argv[0]);
+      return 1;
+    }
+    if (!Err.ok()) {
+      std::fprintf(stderr, "racd: %s\n",
+                   Err.addContext(Arg).toString().c_str());
       return 1;
     }
   }

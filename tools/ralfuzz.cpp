@@ -34,10 +34,9 @@
 //   --seeds N       number of seeds to run (default 1000)
 //   --start S       first seed (default 0)
 //   --allocators L  comma-separated allocator list (chaitin, briggs,
-//                   briggs-parallel, matula-beck, linear-scan,
-//                   linear-scan-nosplit);
-//                   default chaitin,briggs,briggs-parallel,
-//                   linear-scan,linear-scan-nosplit
+//                   matula-beck, linear-scan, linear-scan-nosplit);
+//                   default chaitin,briggs,linear-scan,
+//                   linear-scan-nosplit
 //   --audit         run the in-allocator audit too (default on)
 //   --no-audit      rely on this tool's external checks only
 //   --fault-inject  deliberately miscolor / fail convergence and demand
@@ -74,6 +73,7 @@
 #include "regalloc/Allocator.h"
 #include "service/AllocationService.h"
 #include "sim/Simulator.h"
+#include "support/ParseNumber.h"
 #include "support/Rng.h"
 #include "workloads/RandomProgram.h"
 
@@ -108,16 +108,10 @@ struct AllocatorChoice {
   Backend B = Backend::GraphColoring;
   Heuristic H = Heuristic::Briggs;
   bool Split = true;
-  /// Graph coloring only: run the speculate-and-repair parallel Select
-  /// (gate forced to 0 so even fuzz-sized graphs exercise it). Must be
-  /// indistinguishable from plain briggs in every observable.
-  bool ParallelGraph = false;
 
   const char *name() const {
     if (B == Backend::LinearScan && !Split)
       return "linear-scan-nosplit";
-    if (B == Backend::GraphColoring && ParallelGraph)
-      return "briggs-parallel";
     return allocatorName(B, H);
   }
 };
@@ -129,8 +123,6 @@ struct AllocatorChoice {
 std::vector<AllocatorChoice> defaultAllocators() {
   return {{Backend::GraphColoring, Heuristic::Chaitin},
           {Backend::GraphColoring, Heuristic::Briggs},
-          {Backend::GraphColoring, Heuristic::Briggs, /*Split=*/true,
-           /*ParallelGraph=*/true},
           {Backend::LinearScan, Heuristic::Briggs},
           {Backend::LinearScan, Heuristic::Briggs, /*Split=*/false}};
 }
@@ -242,11 +234,6 @@ bool runOne(const FuzzCase &FC, AllocatorChoice AC, const RunPolicy &P,
   C.H = AC.H;
   C.Machine = MachineInfo(FC.IntK, FC.FltK);
   C.SplitIntervals = AC.Split;
-  if (AC.ParallelGraph) {
-    C.ParallelGraph = true;
-    C.ParallelGraphMinNodes = 0; // fuzz graphs are small; force the engine
-    C.ParallelGraphJobs = 3;     // odd count -> uneven chunk boundaries
-  }
   C.MaxPasses = 64; // Matula-Beck-style worst cases need headroom
   C.Audit = Audit || FaultInject || P.Chaos; // faults must be caught
   if (P.Chaos) {
@@ -395,11 +382,6 @@ bool runSeedService(ra::service::AllocationService &Svc, const FuzzCase &FC,
     Req.Alloc.H = AC.H;
     Req.Alloc.Machine = MachineInfo(FC.IntK, FC.FltK);
     Req.Alloc.SplitIntervals = AC.Split;
-    if (AC.ParallelGraph) {
-      Req.Alloc.ParallelGraph = true;
-      Req.Alloc.ParallelGraphMinNodes = 0;
-      Req.Alloc.ParallelGraphJobs = 3;
-    }
     Req.Alloc.MaxPasses = 64;
     Req.Alloc.Audit = true;
 
@@ -528,8 +510,6 @@ bool dumpReproducer(const std::string &Path, const FuzzCase &FC,
   for (const AllocatorChoice &AC : Allocs)
     Out << "; replay: rac " << Path << " --allocator "
         << allocatorName(AC.B, AC.H) << (AC.Split ? "" : " --no-split")
-        << (AC.ParallelGraph ? " --parallel-graph=3 --parallel-graph-min 0"
-                             : "")
         << " --int " << FC.IntK << " --flt " << FC.FltK << " --run"
         << (FC.Optimize ? "" : " --no-opt") << "\n";
   Out << printModule(M);
@@ -568,10 +548,9 @@ void usage(const char *Prog) {
                "       [--service] [--seed-timeout-ms N]\n"
                "       [--max-instructions N]\n"
                "       [--out FILE] [--emit-corpus DIR] [--quiet]\n"
-               "allocators: chaitin, briggs, briggs-parallel, matula-beck,\n"
-               "            linear-scan, linear-scan-nosplit (default\n"
-               "            chaitin,briggs,briggs-parallel,linear-scan,\n"
-               "            linear-scan-nosplit)\n",
+               "allocators: chaitin, briggs, matula-beck, linear-scan,\n"
+               "            linear-scan-nosplit (default chaitin,briggs,\n"
+               "            linear-scan,linear-scan-nosplit)\n",
                Prog);
 }
 
@@ -590,13 +569,11 @@ bool parseAllocatorList(const std::string &List,
     if (Name == "linear-scan-nosplit") {
       AC.B = Backend::LinearScan;
       AC.Split = false;
-    } else if (Name == "briggs-parallel") {
-      AC.ParallelGraph = true;
     } else if (!parseAllocatorName(Name, AC.B, AC.H)) {
       std::fprintf(stderr,
                    "ralfuzz: unknown allocator '%s' (expected chaitin, "
-                   "briggs, briggs-parallel, matula-beck, linear-scan, "
-                   "or linear-scan-nosplit)\n",
+                   "briggs, matula-beck, linear-scan, or "
+                   "linear-scan-nosplit)\n",
                    Name.c_str());
       return false;
     }
@@ -619,10 +596,11 @@ int main(int Argc, char **Argv) {
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
+    Status Err;
     if (Arg == "--seeds" && I + 1 < Argc) {
-      Seeds = std::strtoull(Argv[++I], nullptr, 10);
+      Err = parseUnsigned(Argv[++I], Seeds);
     } else if (Arg == "--start" && I + 1 < Argc) {
-      Start = std::strtoull(Argv[++I], nullptr, 10);
+      Err = parseUnsigned(Argv[++I], Start);
     } else if (Arg == "--allocators" && I + 1 < Argc) {
       if (!parseAllocatorList(Argv[++I], Allocs)) {
         usage(Argv[0]);
@@ -639,9 +617,9 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--service") {
       Service = true;
     } else if (Arg == "--seed-timeout-ms" && I + 1 < Argc) {
-      SeedTimeoutMs = std::strtoull(Argv[++I], nullptr, 10);
+      Err = parseUnsigned(Argv[++I], SeedTimeoutMs);
     } else if (Arg == "--max-instructions" && I + 1 < Argc) {
-      MaxInstructions = std::strtoull(Argv[++I], nullptr, 10);
+      Err = parseUnsigned(Argv[++I], MaxInstructions);
     } else if (Arg == "--out" && I + 1 < Argc) {
       OutPath = Argv[++I];
     } else if (Arg == "--emit-corpus" && I + 1 < Argc) {
@@ -656,6 +634,15 @@ int main(int Argc, char **Argv) {
       usage(Argv[0]);
       return 1;
     }
+    if (!Err.ok()) {
+      std::fprintf(stderr, "ralfuzz: %s\n",
+                   Err.addContext(Arg).toString().c_str());
+      return 1;
+    }
+  }
+  if (Seeds > UINT64_MAX - Start) {
+    std::fprintf(stderr, "ralfuzz: --start + --seeds overflows 64 bits\n");
+    return 1;
   }
 
   if (!CorpusDir.empty()) {
