@@ -36,9 +36,9 @@
 /// position blocks a register only for pieces it actually overlaps, so
 /// lifetime-disjoint intervals share registers across holes.
 ///
-/// A pass never inserts spill code; the driver (LinearScanAlloc.cpp)
-/// inserts it for the reported spill set and re-runs, exactly like the
-/// coloring backends' Build-Simplify-Color cycle.
+/// A pass never inserts spill code; the pass loop in
+/// regalloc/Allocator.cpp inserts it for the reported spill set and
+/// re-runs, exactly as it does for the coloring backends.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -13,16 +13,21 @@
 // range lives in memory, so the residual graph only holds
 // single-instruction temporaries and colors in one more pass.
 //
+// Both backends run through the one pass loop (runPasses). Each supplies
+// only the middle of a pass: ColoringStep builds class interference
+// graphs and runs Simplify + Select on them; ScanStep builds live
+// intervals and walks them.
+//
 //===----------------------------------------------------------------------===//
 
 #include "regalloc/Allocator.h"
 
+#include "analysis/InstrNumbering.h"
 #include "analysis/Liveness.h"
 #include "analysis/LoopInfo.h"
 #include "analysis/Renumber.h"
-#include "linearscan/LinearScanAlloc.h"
+#include "linearscan/LinearScan.h"
 #include "regalloc/AllocationAudit.h"
-#include "regalloc/Backend.h"
 #include "regalloc/BuildGraph.h"
 #include "regalloc/Coalesce.h"
 #include "regalloc/SpillCost.h"
@@ -89,10 +94,6 @@ bool ra::parseAllocatorName(const std::string &Name, Backend &B,
 
 namespace {
 
-/// Nodes below which a class graph is colored on the calling thread:
-/// spawning a thread costs more than simplifying a small graph.
-constexpr unsigned ParallelClassThreshold = 256;
-
 /// Cheap structural validity: the conditions CFG/liveness construction
 /// would otherwise assert on. Anything caught here is a recoverable
 /// InvalidInput, not a crash.
@@ -128,42 +129,23 @@ Status validateForAllocation(const Function &F) {
   return Status();
 }
 
-/// Copies a color across the first interference edge whose endpoints are
-/// both colored (or, when the graphs have no such edge, pushes one
-/// assignment outside the register file). The audit must catch either.
-void injectMiscoloring(const std::array<ClassGraph, NumRegClasses> &Graphs,
-                       const std::array<ColoringResult, NumRegClasses> &Cols,
-                       const MachineInfo &Machine, AllocationResult &Result) {
-  for (unsigned Cls = 0; Cls < NumRegClasses; ++Cls) {
-    const ClassGraph &CG = Graphs[Cls];
-    for (uint32_t N = 0; N < CG.Graph.numNodes(); ++N) {
-      if (Cols[Cls].ColorOf[N] < 0)
-        continue;
-      for (uint32_t M : CG.Graph.neighbors(N)) {
-        if (Cols[Cls].ColorOf[M] < 0)
-          continue;
-        Result.ColorOf[CG.NodeToVReg[N]] = Cols[Cls].ColorOf[M];
-        return;
-      }
-    }
-  }
-  for (unsigned Cls = 0; Cls < NumRegClasses; ++Cls) {
-    const ClassGraph &CG = Graphs[Cls];
-    if (CG.Graph.numNodes() != 0) {
-      Result.ColorOf[CG.NodeToVReg[0]] =
-          int32_t(Machine.numRegs(CG.Class));
-      return;
-    }
-  }
-}
+/// What the shared front end measured this pass, for the metrics rows.
+/// Area and DepthOf are filled only when metrics are collected.
+struct PassFeatures {
+  unsigned Pass = 0;
+  std::vector<double> Costs;
+  std::vector<double> Area;
+  std::vector<unsigned> DepthOf;
+};
 
-} // namespace
-
-void ra::computeAreaAndDepth(const Function &F, const LoopInfo &Loops,
-                             const Liveness &LV, std::vector<double> &Area,
-                             std::vector<unsigned> &DepthOf) {
-  Area.assign(F.numVRegs(), 0);
-  DepthOf.assign(F.numVRegs(), 0);
+/// Loop-weighted area (sum over instructions where the range is live of
+/// 10^depth — Chaitin's "area" feature) and deepest-occurrence loop
+/// depth, per vreg: the backend-independent columns of the metrics
+/// table.
+void computeAreaAndDepth(const Function &F, const LoopInfo &Loops,
+                         const Liveness &LV, PassFeatures &X) {
+  X.Area.assign(F.numVRegs(), 0);
+  X.DepthOf.assign(F.numVRegs(), 0);
   for (const BasicBlock &B : F.blocks()) {
     unsigned Depth = Loops.depth(B.Id);
     double W = loopDepthWeight(Depth);
@@ -171,48 +153,264 @@ void ra::computeAreaAndDepth(const Function &F, const LoopInfo &Loops,
     for (auto It = B.Insts.rbegin(), E = B.Insts.rend(); It != E; ++It) {
       const Instruction &I = *It;
       if (I.hasDef()) {
-        DepthOf[I.defReg()] = std::max(DepthOf[I.defReg()], Depth);
+        X.DepthOf[I.defReg()] = std::max(X.DepthOf[I.defReg()], Depth);
         Live.reset(I.defReg());
       }
       I.forEachUse([&](VRegId R) {
-        DepthOf[R] = std::max(DepthOf[R], Depth);
+        X.DepthOf[R] = std::max(X.DepthOf[R], Depth);
         Live.set(R);
       });
-      Live.forEachSetBit([&](unsigned R) { Area[R] += W; });
+      Live.forEachSetBit([&](unsigned R) { X.Area[R] += W; });
     }
   }
 }
 
-namespace {
-
-/// One metrics row for graph node \p Node of \p CG.
-RangeMetrics rangeRow(const Function &F, const ClassGraph &CG,
-                      uint32_t Node, unsigned Pass,
-                      const std::vector<double> &Costs,
-                      const std::vector<double> &Area,
-                      const std::vector<unsigned> &DepthOf,
-                      RangeMetrics::Decision D, int32_t Color) {
-  VRegId R = CG.NodeToVReg[Node];
+/// One metrics row for vreg \p R with interference degree \p Degree.
+RangeMetrics metricsRow(const Function &F, VRegId R, RegClass Class,
+                        unsigned Degree, double Cost, const PassFeatures &X,
+                        RangeMetrics::Decision D, int32_t Color) {
   RangeMetrics RM;
   RM.Name = F.vreg(R).Name;
-  RM.Pass = Pass;
-  RM.Class = CG.Class;
-  RM.Degree = CG.Graph.degree(Node);
-  RM.Area = Area[R];
-  RM.Cost = Costs[R];
-  RM.CostPerDegree = RM.Cost == InterferenceGraph::InfiniteCost
-                         ? RM.Cost
-                         : (RM.Degree ? RM.Cost / RM.Degree : RM.Cost);
-  RM.LoopDepth = DepthOf[R];
+  RM.Pass = X.Pass;
+  RM.Class = Class;
+  RM.Degree = Degree;
+  RM.Area = X.Area[R];
+  RM.Cost = Cost;
+  RM.CostPerDegree = Cost == InterferenceGraph::InfiniteCost
+                         ? Cost
+                         : (Degree ? Cost / Degree : Cost);
+  RM.LoopDepth = X.DepthOf[R];
   RM.D = D;
   RM.Color = Color;
   return RM;
 }
 
-/// Renders a tripped budget as this backend run's Failed result. The
-/// partial allocation state (colors, pieces) is wiped — the IR itself
-/// is valid (loops only back out at whole-unit boundaries), so the
-/// ladder can rerun a cheaper engine on the same function.
+/// The graph-coloring middle of a pass: one interference graph per
+/// register class, then Simplify + Select on each, Int before Float.
+class ColoringStep {
+public:
+  static constexpr const char *Category = "regalloc";
+  static constexpr const char *Unconverged = "no coloring after ";
+
+  ColoringStep(const AllocatorConfig &C, Budget *Gov) : C(C), Gov(Gov) {}
+
+  /// Bytes of the class matrices the build step is about to allocate.
+  static uint64_t matrixBytes(const Function &F, const AllocatorConfig &C) {
+    std::array<uint64_t, NumRegClasses> ClassNodes{};
+    for (VRegId R = 0; R < F.numVRegs(); ++R)
+      ++ClassNodes[static_cast<unsigned>(F.regClass(R))];
+    uint64_t Bytes = 0;
+    for (uint64_t N : ClassNodes)
+      Bytes += InterferenceGraph::estimateBytes(N);
+    if (C.FaultInject.GraphMemorySpike)
+      Bytes += uint64_t(1) << 30; // pretend the graph is ~1 GB bigger
+    return Bytes;
+  }
+
+  void build(const Function &F, const Liveness &LV, PassRecord &Rec) {
+    Graphs = buildInterferenceGraphs(F, LV, Gov);
+    for (const ClassGraph &CG : Graphs) {
+      Rec.LiveRanges += CG.Graph.numNodes();
+      Rec.Interferences += CG.Graph.numEdges();
+    }
+  }
+
+  void decide(const Function &F, const PassFeatures &X) {
+    for (unsigned Cls = 0; Cls < NumRegClasses; ++Cls) {
+      ClassGraph &CG = Graphs[Cls];
+      setNodeCosts(F, X.Costs, CG);
+      Colorings[Cls] =
+          colorGraph(CG.Graph, C.Machine.numRegs(CG.Class), C.H, Gov);
+    }
+  }
+
+  /// Records the decisions in \p Rec (and Spilled rows in \p Result);
+  /// returns the ranges to spill, in decision order.
+  std::vector<SpillRequest> spills(const Function &F, const PassFeatures &X,
+                                   PassRecord &Rec,
+                                   AllocationResult &Result) const {
+    std::vector<SpillRequest> ToSpill;
+    for (unsigned Cls = 0; Cls < NumRegClasses; ++Cls) {
+      Rec.SimplifySeconds += Colorings[Cls].SimplifySeconds;
+      Rec.SelectSeconds += Colorings[Cls].SelectSeconds;
+      for (uint32_t Node : Colorings[Cls].Spilled) {
+        VRegId R = Graphs[Cls].NodeToVReg[Node];
+        ToSpill.push_back({R, /*FromSlot=*/0});
+        Rec.SpilledCost += X.Costs[R];
+        if (C.CollectMetrics)
+          Result.Metrics.push_back(metricsRow(
+              F, R, Graphs[Cls].Class, Graphs[Cls].Graph.degree(Node),
+              X.Costs[R], X, RangeMetrics::Decision::Spilled, /*Color=*/-1));
+      }
+    }
+    return ToSpill;
+  }
+
+  /// Publishes the converged pass's colors (and Colored rows).
+  void assign(const Function &F, const PassFeatures &X,
+              AllocationResult &Result) const {
+    Result.ColorOf.assign(F.numVRegs(), -1);
+    for (unsigned Cls = 0; Cls < NumRegClasses; ++Cls)
+      for (uint32_t Node = 0; Node < Graphs[Cls].Graph.numNodes(); ++Node) {
+        VRegId R = Graphs[Cls].NodeToVReg[Node];
+        Result.ColorOf[R] = Colorings[Cls].ColorOf[Node];
+        if (C.CollectMetrics)
+          Result.Metrics.push_back(metricsRow(
+              F, R, Graphs[Cls].Class, Graphs[Cls].Graph.degree(Node),
+              X.Costs[R], X, RangeMetrics::Decision::Colored,
+              Result.ColorOf[R]));
+      }
+  }
+
+  /// Copies a color across the first interference edge whose endpoints
+  /// are both colored (or, when the graphs have no such edge, pushes one
+  /// assignment outside the register file). The audit must catch either.
+  void injectMiscoloring(AllocationResult &Result) const {
+    for (unsigned Cls = 0; Cls < NumRegClasses; ++Cls) {
+      const ClassGraph &CG = Graphs[Cls];
+      for (uint32_t N = 0; N < CG.Graph.numNodes(); ++N) {
+        if (Colorings[Cls].ColorOf[N] < 0)
+          continue;
+        for (uint32_t M : CG.Graph.neighbors(N)) {
+          if (Colorings[Cls].ColorOf[M] < 0)
+            continue;
+          Result.ColorOf[CG.NodeToVReg[N]] = Colorings[Cls].ColorOf[M];
+          return;
+        }
+      }
+    }
+    for (const ClassGraph &CG : Graphs)
+      if (CG.Graph.numNodes() != 0) {
+        Result.ColorOf[CG.NodeToVReg[0]] =
+            int32_t(C.Machine.numRegs(CG.Class));
+        return;
+      }
+  }
+
+private:
+  const AllocatorConfig &C;
+  Budget *Gov;
+  std::array<ClassGraph, NumRegClasses> Graphs;
+  std::array<ColoringResult, NumRegClasses> Colorings;
+};
+
+/// The linear-scan middle of a pass: live intervals over an instruction
+/// slot numbering, then one start-ordered walk over both classes. It
+/// builds no matrix, so it charges the budget nothing. Because spill
+/// temporaries carry an infinite cost estimate, the walk never evicts
+/// them, so the cycle converges like the coloring one.
+class ScanStep {
+public:
+  static constexpr const char *Category = "linearscan";
+  static constexpr const char *Unconverged =
+      "no linear-scan allocation after ";
+
+  ScanStep(const AllocatorConfig &C, Budget *Gov) : C(C), Gov(Gov) {}
+
+  static uint64_t matrixBytes(const Function &, const AllocatorConfig &) {
+    return 0;
+  }
+
+  void build(const Function &F, const Liveness &LV, PassRecord &) {
+    LI = LiveIntervals::compute(F, LV, InstrNumbering::compute(F));
+  }
+
+  void decide(const Function &, const PassFeatures &X) {
+    LI.setCosts(X.Costs);
+    ScanOptions SO;
+    SO.SplitIntervals = C.SplitIntervals;
+    SO.Governor = Gov;
+    Scan = scanIntervals(LI, C.Machine, SO);
+  }
+
+  /// Records the walk in \p Rec (and Spilled rows in \p Result); returns
+  /// the spill set. A range whose head already won registers spills
+  /// only its losing tail. The walk time lands in the select column:
+  /// linear scan has no simplify analogue.
+  std::vector<SpillRequest> spills(const Function &F, const PassFeatures &X,
+                                   PassRecord &Rec,
+                                   AllocationResult &Result) const {
+    Rec.LiveRanges = Scan.LiveRanges;
+    Rec.SelectSeconds = Scan.WalkSeconds;
+    Rec.SpilledCost = Scan.SpilledCost;
+    Rec.SplitLiveRanges = Scan.SplitRanges;
+    Rec.SplitDecisions = Scan.Splits;
+    std::vector<SpillRequest> ToSpill;
+    for (size_t I = 0; I < Scan.Spilled.size(); ++I) {
+      ToSpill.push_back({Scan.Spilled[I], Scan.SpillFromSlot[I]});
+      if (C.CollectMetrics)
+        Result.Metrics.push_back(row(F, LI.interval(Scan.Spilled[I]), X,
+                                     RangeMetrics::Decision::Spilled,
+                                     /*Color=*/-1));
+    }
+    return ToSpill;
+  }
+
+  /// Publishes the converged walk's registers and pieces (and Colored or
+  /// Split rows).
+  void assign(const Function &F, const PassFeatures &X,
+              AllocationResult &Result) {
+    Result.ColorOf = std::move(Scan.ColorOf);
+    Result.Pieces = std::move(Scan.Pieces);
+    if (!C.CollectMetrics)
+      return;
+    std::vector<bool> IsSplit(F.numVRegs(), false);
+    for (const PieceAssignment &P : Result.Pieces)
+      IsSplit[P.Reg] = true;
+    for (const LiveInterval &I : LI.intervals())
+      if (!I.empty())
+        Result.Metrics.push_back(
+            row(F, I, X,
+                IsSplit[I.Reg] ? RangeMetrics::Decision::Split
+                               : RangeMetrics::Decision::Colored,
+                Result.ColorOf[I.Reg]));
+  }
+
+  /// Copies a register across the first pair of overlapping same-class
+  /// colored intervals (or, when no interval overlaps another, pushes
+  /// one assignment outside the register file). The audit must catch
+  /// either.
+  void injectMiscoloring(AllocationResult &Result) const {
+    const std::vector<LiveInterval> &All = LI.intervals();
+    for (uint32_t A = 0; A < All.size(); ++A) {
+      if (All[A].empty() || Result.ColorOf[All[A].Reg] < 0)
+        continue;
+      for (uint32_t B = A + 1; B < All.size(); ++B) {
+        if (All[B].Class != All[A].Class || All[B].empty() ||
+            Result.ColorOf[All[B].Reg] < 0)
+          continue;
+        if (All[A].overlaps(All[B])) {
+          Result.ColorOf[All[A].Reg] = Result.ColorOf[All[B].Reg];
+          return;
+        }
+      }
+    }
+    for (const LiveInterval &I : All)
+      if (!I.empty() && Result.ColorOf[I.Reg] >= 0) {
+        Result.ColorOf[I.Reg] = int32_t(C.Machine.numRegs(I.Class));
+        return;
+      }
+  }
+
+private:
+  /// Linear scan builds no interference graph: Degree is 0, so
+  /// CostPerDegree follows the degree-0 convention (== Cost).
+  static RangeMetrics row(const Function &F, const LiveInterval &I,
+                          const PassFeatures &X, RangeMetrics::Decision D,
+                          int32_t Color) {
+    return metricsRow(F, I.Reg, I.Class, /*Degree=*/0, I.Cost, X, D, Color);
+  }
+
+  const AllocatorConfig &C;
+  Budget *Gov;
+  LiveIntervals LI;
+  ScanResult Scan;
+};
+
+/// Renders a tripped budget as this run's Failed result. The partial
+/// allocation state (colors, pieces) is wiped — the IR itself is valid
+/// (loops only back out at whole-unit boundaries), so the ladder can
+/// rerun a cheaper engine on the same function.
 AllocationResult overBudget(AllocationResult Result, Budget &Gov,
                             unsigned Pass) {
   Result.Success = false;
@@ -225,61 +423,57 @@ AllocationResult overBudget(AllocationResult Result, Budget &Gov,
   return Result;
 }
 
-/// FaultInjectOptions::SlowPhaseMicros — stall so a tiny test deadline
-/// trips deterministically regardless of machine speed.
-void injectSlowPhase(const AllocatorConfig &C) {
-  if (C.FaultInject.SlowPhaseMicros)
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(C.FaultInject.SlowPhaseMicros));
-}
-
-/// The Figure 4 loop: renumber -> [build -> coalesce -> costs ->
-/// simplify -> select -> spill]* until no pass spills. Sets Success and
-/// a NonConvergence diagnostic, but performs no auditing or fallback —
-/// allocateRegisters layers those on top.
+/// The Figure 4 loop: renumber -> [build -> coalesce -> costs -> decide
+/// -> spill]* until no pass spills, where \p Step supplies the backend's
+/// middle: its build step (class graphs or live intervals) and its
+/// decide step (Simplify + Select, or the interval walk). Sets Success
+/// and a NonConvergence diagnostic, but performs no auditing or
+/// fallback — allocateRegisters layers those on top.
 ///
-/// With a governed \p Gov: each pass charges the estimated size of its
-/// interference matrices before building them (a refusal exits before
-/// the bytes exist), every long loop polls the token, and phase
-/// boundaries force a deadline check, so a trip surfaces as a Failed
-/// over-budget result within one phase of the expiry.
-AllocationResult runColoringPasses(Function &F, const AllocatorConfig &C,
-                                   const CFG &G, const LoopInfo &Loops,
-                                   Budget *Gov) {
+/// With a governed \p Gov: each pass charges the step's matrix bytes
+/// before building (a refusal exits before the bytes exist), every long
+/// loop polls the token, and phase boundaries force a deadline check, so
+/// a trip surfaces as a Failed over-budget result within one phase of
+/// the expiry.
+template <typename Step>
+AllocationResult runPasses(Function &F, const AllocatorConfig &C,
+                           const CFG &G, const LoopInfo &Loops,
+                           Budget *Gov) {
   AllocationResult Result;
   Result.Machine = C.Machine;
 
   for (unsigned Pass = 0; Pass < C.MaxPasses; ++Pass) {
     PassRecord Rec;
-    RA_TRACE_SPAN("Pass", "regalloc",
+    RA_TRACE_SPAN("Pass", Step::Category,
                   [&] { return "pass=" + std::to_string(Pass); });
-    injectSlowPhase(C);
+    // FaultInjectOptions::SlowPhaseMicros — stall so a tiny test
+    // deadline trips deterministically regardless of machine speed.
+    if (C.FaultInject.SlowPhaseMicros)
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(C.FaultInject.SlowPhaseMicros));
     if (Gov && Gov->expired())
       return overBudget(std::move(Result), *Gov, Pass);
 
     //===----------------------------------------------------------===//
-    // Build: renumber, coalesce, build graphs, compute spill costs.
+    // Build: renumber, coalesce, the step's graphs or intervals, costs.
     //===----------------------------------------------------------===//
     Timer BuildTimer;
-    RA_TRACE_SPAN_NAMED(BuildSpan, "Build", "regalloc");
+    RA_TRACE_SPAN_NAMED(BuildSpan, "Build", Step::Category);
     BuildTimer.start();
     {
-      RA_TRACE_SPAN("Renumber", "regalloc");
+      RA_TRACE_SPAN("Renumber", Step::Category);
       renumberLiveRanges(F, G);
     }
     if (C.Coalesce) {
       CoalesceStats CS = coalesceAll(F, G, C.Coalescing, C.Machine, Gov);
       Result.Stats.CopiesCoalesced += CS.CopiesRemoved;
       if (C.CollectMetrics)
-        for (const CoalescedCopy &CC : CS.Merges) {
-          RangeMetrics RM;
-          RM.Name = CC.Merged;
-          RM.Pass = Pass;
-          RM.Class = CC.Class;
-          RM.D = RangeMetrics::Decision::Coalesced;
-          RM.CoalescedInto = CC.Into;
-          Result.Metrics.push_back(std::move(RM));
-        }
+        for (const CoalescedCopy &CC : CS.Merges)
+          Result.Metrics.push_back({.Name = CC.Merged,
+                                    .Pass = Pass,
+                                    .Class = CC.Class,
+                                    .D = RangeMetrics::Decision::Coalesced,
+                                    .CoalescedInto = CC.Into});
       if (CS.CopiesRemoved != 0)
         renumberLiveRanges(F, G); // compact ids merged away
     }
@@ -287,32 +481,18 @@ AllocationResult runColoringPasses(Function &F, const AllocatorConfig &C,
     // matrix is the allocation that OOMs at scale, and refusing it up
     // front turns a would-be OOM into a clean over-budget exit. The
     // charge is held for the pass (the graphs die with the iteration).
-    uint64_t GraphBytes = 0;
-    if (Gov) {
-      std::array<uint64_t, NumRegClasses> ClassNodes{};
-      for (VRegId R = 0; R < F.numVRegs(); ++R)
-        ++ClassNodes[static_cast<unsigned>(F.regClass(R))];
-      for (uint64_t N : ClassNodes)
-        GraphBytes += InterferenceGraph::estimateBytes(N);
-      if (C.FaultInject.GraphMemorySpike)
-        GraphBytes += uint64_t(1) << 30; // pretend the graph is ~1 GB bigger
-    }
-    ScopedCharge GraphCharge(Gov, GraphBytes);
-    if (!GraphCharge.granted())
+    ScopedCharge Charge(Gov, Gov ? Step::matrixBytes(F, C) : 0);
+    if (!Charge.granted())
       return overBudget(std::move(Result), *Gov, Pass);
 
     Liveness LV = Liveness::compute(F, G);
-    auto Graphs = buildInterferenceGraphs(F, LV, Gov);
-    std::vector<double> Costs = computeSpillCosts(F, Loops, C.Costs);
-    std::vector<double> Area;
-    std::vector<unsigned> DepthOf;
+    Step S(C, Gov);
+    S.build(F, LV, Rec);
+    PassFeatures X;
+    X.Pass = Pass;
+    X.Costs = computeSpillCosts(F, Loops, C.Costs);
     if (C.CollectMetrics)
-      computeAreaAndDepth(F, Loops, LV, Area, DepthOf);
-    for (ClassGraph &CG : Graphs) {
-      setNodeCosts(F, Costs, CG);
-      Rec.LiveRanges += CG.Graph.numNodes();
-      Rec.Interferences += CG.Graph.numEdges();
-    }
+      computeAreaAndDepth(F, Loops, LV, X);
     BuildTimer.stop();
     Rec.BuildSeconds = BuildTimer.seconds();
     BuildSpan.close();
@@ -322,81 +502,24 @@ AllocationResult runColoringPasses(Function &F, const AllocatorConfig &C,
     }
 
     //===----------------------------------------------------------===//
-    // Simplify + select, one class at a time.
+    // Decide: color or walk, then read off the spill set.
     //===----------------------------------------------------------===//
-    std::vector<VRegId> ToSpill;
-    std::array<ColoringResult, NumRegClasses> Colorings;
-    static_assert(NumRegClasses == 2, "per-class threading assumes 2");
-    bool Concurrent =
-        C.ParallelClasses &&
-        Graphs[0].Graph.numNodes() >= ParallelClassThreshold &&
-        Graphs[1].Graph.numNodes() >= ParallelClassThreshold;
-    if (Concurrent) {
-      // The two class files are disjoint, so their colorings share no
-      // state; run Float on a helper thread while Int colors here.
-      // Results land in fixed slots — output is identical to serial.
-      // The helper traces under its own sub-context so the event log
-      // groups deterministically whether or not it was spawned.
-      std::string ParentCtx = trace::ScopedContext::current();
-      std::thread Helper([&, ParentCtx] {
-        RA_TRACE_CONTEXT([&] { return ParentCtx + "/flt-helper"; });
-        Colorings[1] =
-            colorGraph(Graphs[1].Graph, C.Machine.numRegs(Graphs[1].Class),
-                       C.H, Gov);
-      });
-      Colorings[0] = colorGraph(Graphs[0].Graph,
-                                C.Machine.numRegs(Graphs[0].Class), C.H,
-                                Gov);
-      Helper.join();
-    } else {
-      for (unsigned Cls = 0; Cls < NumRegClasses; ++Cls)
-        Colorings[Cls] = colorGraph(Graphs[Cls].Graph,
-                                    C.Machine.numRegs(Graphs[Cls].Class),
-                                    C.H, Gov);
-    }
+    S.decide(F, X);
     if (Gov && Gov->expired()) {
-      // A class coloring was abandoned mid-phase; its ColoringResult is
-      // partial and must not feed spill decisions.
+      // The step was abandoned mid-phase; its decisions are partial and
+      // must not feed spill decisions.
       Result.Stats.Passes.push_back(std::move(Rec));
       return overBudget(std::move(Result), *Gov, Pass);
     }
-    for (unsigned Cls = 0; Cls < NumRegClasses; ++Cls) {
-      ClassGraph &CG = Graphs[Cls];
-      Rec.SimplifySeconds += Colorings[Cls].SimplifySeconds;
-      Rec.SelectSeconds += Colorings[Cls].SelectSeconds;
-      for (uint32_t Node : Colorings[Cls].Spilled) {
-        VRegId R = CG.NodeToVReg[Node];
-        ToSpill.push_back(R);
-        Rec.SpilledNames.push_back(F.vreg(R).Name);
-        Rec.SpilledCost += Costs[R];
-        if (C.CollectMetrics)
-          Result.Metrics.push_back(rangeRow(
-              F, CG, Node, Pass, Costs, Area, DepthOf,
-              RangeMetrics::Decision::Spilled, /*Color=*/-1));
-      }
-    }
+    std::vector<SpillRequest> ToSpill = S.spills(F, X, Rec, Result);
     Rec.SpilledLiveRanges = ToSpill.size();
+    for (const SpillRequest &SR : ToSpill)
+      Rec.SpilledNames.push_back(F.vreg(SR.Reg).Name);
 
     if (ToSpill.empty()) {
-      // Done: translate per-class node colors into a per-vreg map.
-      Result.ColorOf.assign(F.numVRegs(), -1);
-      for (unsigned Cls = 0; Cls < NumRegClasses; ++Cls) {
-        const ClassGraph &CG = Graphs[Cls];
-        for (uint32_t Node = 0; Node < CG.Graph.numNodes(); ++Node)
-          Result.ColorOf[CG.NodeToVReg[Node]] =
-              Colorings[Cls].ColorOf[Node];
-      }
-      if (C.CollectMetrics)
-        for (unsigned Cls = 0; Cls < NumRegClasses; ++Cls) {
-          const ClassGraph &CG = Graphs[Cls];
-          for (uint32_t Node = 0; Node < CG.Graph.numNodes(); ++Node)
-            Result.Metrics.push_back(
-                rangeRow(F, CG, Node, Pass, Costs, Area, DepthOf,
-                         RangeMetrics::Decision::Colored,
-                         Colorings[Cls].ColorOf[Node]));
-        }
+      S.assign(F, X, Result);
       if (C.FaultInject.Miscolor)
-        injectMiscoloring(Graphs, Colorings, C.Machine, Result);
+        S.injectMiscoloring(Result);
       Result.Stats.Passes.push_back(std::move(Rec));
       Result.Success = true;
       Result.Outcome = AllocOutcome::Converged;
@@ -422,7 +545,7 @@ AllocationResult runColoringPasses(Function &F, const AllocatorConfig &C,
   Result.Success = false;
   Result.Outcome = AllocOutcome::Failed;
   Result.Diag = Status::error(StatusCode::NonConvergence,
-                              "no coloring after " +
+                              Step::Unconverged +
                                   std::to_string(C.MaxPasses) + " passes");
   return Result;
 }
@@ -442,49 +565,18 @@ AllocationResult spillEverything(Function &F, const AllocatorConfig &C,
   insertSpillCode(F, All, /*Rematerialize=*/false);
 
   AllocatorConfig FallbackC = C;
-  // The bottom rung always colors, whatever backend just failed: the
-  // residual graph is tiny and the coloring cycle is the most
-  // battle-tested path through the allocator.
-  FallbackC.B = Backend::GraphColoring;
   FallbackC.Coalesce = false; // no copies worth merging among temporaries
   FallbackC.FaultInject = {}; // the fallback must stay unbroken
   FallbackC.MaxPasses = 8;
-  // The bottom rung runs ungoverned: it is the guaranteed-progress
-  // escape hatch, and its residual graph is tiny by construction.
-  return runColoringPasses(F, FallbackC, G, Loops, /*Gov=*/nullptr);
+  // The bottom rung always colors, whatever backend just failed: the
+  // residual graph is tiny and the coloring cycle is the most
+  // battle-tested path through the allocator. It runs ungoverned: it is
+  // the guaranteed-progress escape hatch, and its residual graph is tiny
+  // by construction.
+  return runPasses<ColoringStep>(F, FallbackC, G, Loops, /*Gov=*/nullptr);
 }
-
-/// Backend.h's engine for Backend::GraphColoring.
-class GraphColoringBackend final : public AllocatorBackend {
-public:
-  const char *name() const override { return "graph-coloring"; }
-  AllocationResult runPasses(Function &F, const AllocatorConfig &C,
-                             const CFG &G, const LoopInfo &Loops,
-                             Budget *Gov) const override {
-    return runColoringPasses(F, C, G, Loops, Gov);
-  }
-};
-
-/// Backend.h's engine for Backend::LinearScan.
-class LinearScanBackend final : public AllocatorBackend {
-public:
-  const char *name() const override { return "linear-scan"; }
-  AllocationResult runPasses(Function &F, const AllocatorConfig &C,
-                             const CFG &G, const LoopInfo &Loops,
-                             Budget *Gov) const override {
-    return runLinearScanPasses(F, C, G, Loops, Gov);
-  }
-};
 
 } // namespace
-
-const AllocatorBackend &ra::backendFor(Backend B) {
-  static const GraphColoringBackend Coloring;
-  static const LinearScanBackend Scan;
-  return B == Backend::LinearScan
-             ? static_cast<const AllocatorBackend &>(Scan)
-             : static_cast<const AllocatorBackend &>(Coloring);
-}
 
 AllocationResult ra::allocateRegisters(Function &F,
                                        const AllocatorConfig &C) {
@@ -542,8 +634,10 @@ AllocationResult ra::allocateRegisters(Function &F,
     Result.Outcome = AllocOutcome::Failed;
     Result.Diag = Status::error(StatusCode::NonConvergence,
                                 "fault injection: forced non-convergence");
+  } else if (C.B == Backend::LinearScan) {
+    Result = runPasses<ScanStep>(F, C, G, Loops, Gov);
   } else {
-    Result = backendFor(C.B).runPasses(F, C, G, Loops, Gov);
+    Result = runPasses<ColoringStep>(F, C, G, Loops, Gov);
   }
 
   // Rung 1 of the budget ladder: graph coloring ran over its deadline
@@ -561,10 +655,7 @@ AllocationResult ra::allocateRegisters(Function &F,
     RA_TRACE_COUNTER("budget.retry.linear_scan", 1);
     Status Why = Result.Diag;
     Token.rearm();
-    AllocatorConfig RetryC = C;
-    RetryC.B = Backend::LinearScan;
-    AllocationResult Retry =
-        backendFor(Backend::LinearScan).runPasses(F, RetryC, G, Loops, Gov);
+    AllocationResult Retry = runPasses<ScanStep>(F, C, G, Loops, Gov);
     if (Retry.Success) {
       Status RetryAudit = auditAllocationStatus(F, Retry);
       if (RetryAudit.ok()) {

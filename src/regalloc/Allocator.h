@@ -38,9 +38,10 @@ namespace ra {
 /// so CI can run whole existing suites with auditing forced on.
 bool auditEnabledByEnv();
 
-/// Which engine produces the primary allocation. Everything around the
-/// engine — validation, audit, spill-everything degradation — is shared
-/// and backend-agnostic (see regalloc/Backend.h).
+/// Which engine produces the primary allocation. Both run through one
+/// pass loop and differ only in the middle of a pass; everything around
+/// it — validation, renumbering, coalescing, spill costs, spill code,
+/// audit, spill-everything degradation — is shared.
 enum class Backend : uint8_t {
   /// The paper's Build-Simplify-Color cycle; AllocatorConfig::H picks
   /// the simplify/select heuristic (Chaitin, Briggs, Matula-Beck).
@@ -124,10 +125,6 @@ struct AllocatorConfig {
   /// allocation units). 1 = serial; 0 = one per hardware thread. Output
   /// is bit-identical at any setting.
   unsigned Jobs = 1;
-  /// Color the Int and Float graphs of one function on two threads when
-  /// both are large enough to pay for a thread. Never changes results:
-  /// the two class graphs share no state.
-  bool ParallelClasses = true;
   /// Run the independent post-allocation audit (AllocationAudit.h) on
   /// every allocation. An audit failure triggers the spill-everything
   /// fallback and a Degraded outcome instead of returning wrong code.
@@ -255,17 +252,6 @@ struct RangeMetrics {
 
 /// Printable decision name ("colored", "spilled", "coalesced", "split").
 const char *rangeDecisionName(RangeMetrics::Decision D);
-
-class Liveness;
-class LoopInfo;
-
-/// Loop-weighted area (sum over instructions where the range is live of
-/// 10^depth — Chaitin's "area" feature) and deepest-occurrence loop
-/// depth, per vreg. The backend-independent feature columns of the
-/// metrics table; both backends fill their rows from it.
-void computeAreaAndDepth(const Function &F, const LoopInfo &Loops,
-                         const Liveness &LV, std::vector<double> &Area,
-                         std::vector<unsigned> &DepthOf);
 
 /// Header line of the metrics CSV dump (matches appendMetricsCsv).
 std::string metricsCsvHeader();

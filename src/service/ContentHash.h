@@ -23,10 +23,9 @@
 /// byte-identical sources, where the printed form is exactly stable.
 /// ServiceTest pins this contract in both directions.
 ///
-/// Config fields that are pure performance knobs — Jobs and
-/// ParallelClasses — are excluded: they are proven byte-identical
-/// elsewhere (the 1-vs-N and per-class determinism tests), so keying on
-/// them would only split the cache. Deadline and memory budgets are
+/// Jobs, the one config field that is a pure performance knob, is
+/// excluded: it is proven byte-identical elsewhere (the 1-vs-N
+/// determinism tests), so keying on it would only split the cache. Deadline and memory budgets are
 /// excluded too: only Converged results are ever inserted
 /// (AllocationService), and a governed run that converges is
 /// byte-identical to the ungoverned run by construction — budget

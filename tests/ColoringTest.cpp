@@ -145,12 +145,16 @@ InterferenceGraph randomGraph(Rng &R, unsigned N, double Density) {
   return G;
 }
 
+/// Every field is 8 bytes wide, so the struct has no padding: gtest
+/// prints a parameter's raw bytes into the ctest name, and uninitialized
+/// padding would make those names change from build to build.
 struct RandomGraphCase {
   uint64_t Seed;
-  unsigned N;
+  uint64_t N;
   double Density;
-  unsigned K;
+  uint64_t K;
 };
+static_assert(sizeof(RandomGraphCase) == 4 * 8, "no padding bytes");
 
 class RandomGraphs : public ::testing::TestWithParam<RandomGraphCase> {};
 

@@ -302,6 +302,37 @@ TEST(LinearScanAllocTest, AgreesWithGraphColoringOnWorkloads) {
   }
 }
 
+TEST(LinearScanAllocTest, SharesTheColoringFrontEnd) {
+  // Both backends run one pass loop, so pass 0's renumber + coalesce is
+  // the same code on the same input: its Coalesced metrics rows and the
+  // copy count must match exactly. seed0003 is the corpus's copy-heaviest
+  // function.
+  std::string Text =
+      readFile(std::string(RA_TESTS_DIR) + "/corpus/seed0003.ral");
+  ASSERT_FALSE(Text.empty());
+  auto Run = [&](Backend B, std::vector<std::string> &Rows) {
+    Module M;
+    std::string Error;
+    EXPECT_TRUE(parseModule(Text, M, Error)) << Error;
+    AllocatorConfig C;
+    C.B = B;
+    C.CollectMetrics = true;
+    AllocationResult A = allocateRegisters(M.function(0), C);
+    EXPECT_TRUE(A.Success) << backendName(B) << ": " << A.Diag.toString();
+    for (const RangeMetrics &RM : A.Metrics)
+      if (RM.Pass == 0 && RM.D == RangeMetrics::Decision::Coalesced)
+        Rows.push_back(RM.Name + " -> " + RM.CoalescedInto + " (" +
+                       regClassName(RM.Class) + ")");
+    return A.Stats.CopiesCoalesced;
+  };
+  std::vector<std::string> ColoringRows, ScanRows;
+  unsigned ColoringCopies = Run(Backend::GraphColoring, ColoringRows);
+  unsigned ScanCopies = Run(Backend::LinearScan, ScanRows);
+  EXPECT_GT(ColoringCopies, 0u) << "the case must exercise coalescing";
+  EXPECT_EQ(ColoringCopies, ScanCopies);
+  EXPECT_EQ(ColoringRows, ScanRows);
+}
+
 TEST(LinearScanAllocTest, DeterministicAcrossRuns) {
   for (int Round = 0; Round < 2; ++Round) {
     Module M1, M2;

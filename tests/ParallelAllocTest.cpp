@@ -320,22 +320,6 @@ TEST(AllocateModuleTest, MatchesPerFunctionAllocateRegisters) {
   }
 }
 
-TEST(AllocateModuleTest, ParallelClassColoringIsIdentical) {
-  // GRADNT is large enough that both class graphs cross the
-  // per-class threading threshold.
-  AllocatorConfig On, Off;
-  On.ParallelClasses = true;
-  Off.ParallelClasses = false;
-  Module M1, M2;
-  Function &F1 = buildGRADNT(M1);
-  Function &F2 = buildGRADNT(M2);
-  AllocationResult R1 = allocateRegisters(F1, On);
-  AllocationResult R2 = allocateRegisters(F2, Off);
-  ASSERT_TRUE(R1.Success && R2.Success);
-  EXPECT_EQ(R1.ColorOf, R2.ColorOf);
-  EXPECT_EQ(printFunction(M1, F1), printFunction(M2, F2));
-}
-
 TEST(AllocateModuleTest, WorkerExceptionFailsOnlyThatFunction) {
   // A function whose allocation throws must come back as one Failed
   // result with a worker-error diagnostic; every other function of the

@@ -292,19 +292,28 @@ TEST(WorkloadFunctional, MatgenMatchesTheLinpackGenerator) {
 }
 
 TEST(AllocatorNegative, PassBudgetExhaustionDegradesToSpillEverything) {
-  Module M;
-  Function &F = buildDMXPY(M); // needs multiple passes at RT/PC sizes
-  optimizeFunction(F);
-  AllocatorConfig C;
-  C.H = Heuristic::Chaitin;
-  C.MaxPasses = 1;
-  AllocationResult A = allocateRegisters(F, C);
   // One pass cannot be enough for a routine that spills, so the primary
-  // loop exhausts its budget; the allocator must then recover through the
-  // spill-everything fallback and say so rather than report a clean run.
-  ASSERT_TRUE(A.Success) << A.Diag.toString();
-  EXPECT_EQ(A.Outcome, AllocOutcome::Degraded);
-  EXPECT_EQ(A.Diag.code(), StatusCode::NonConvergence);
+  // loop exhausts its budget under either backend; the allocator must
+  // then recover through the spill-everything fallback and say so rather
+  // than report a clean run.
+  for (Backend B : {Backend::GraphColoring, Backend::LinearScan}) {
+    Module M;
+    Function &F = buildDMXPY(M); // needs multiple passes at RT/PC sizes
+    optimizeFunction(F);
+    AllocatorConfig C;
+    C.B = B;
+    C.H = Heuristic::Chaitin;
+    C.MaxPasses = 1;
+    AllocationResult A = allocateRegisters(F, C);
+    ASSERT_TRUE(A.Success) << backendName(B) << ": " << A.Diag.toString();
+    EXPECT_EQ(A.Outcome, AllocOutcome::Degraded) << backendName(B);
+    EXPECT_EQ(A.Diag.code(), StatusCode::NonConvergence) << backendName(B);
+    const char *Why = B == Backend::LinearScan
+                          ? "no linear-scan allocation after 1 passes"
+                          : "no coloring after 1 passes";
+    EXPECT_NE(A.Diag.toString().find(Why), std::string::npos)
+        << A.Diag.toString();
+  }
 }
 
 } // namespace
