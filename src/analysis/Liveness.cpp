@@ -8,9 +8,10 @@
 
 using namespace ra;
 
-Liveness Liveness::compute(const Function &F, const CFG &G) {
+Liveness Liveness::compute(const Function &F, const CFG &G,
+                           const VRegSubset *Only) {
   Liveness L;
-  unsigned NB = F.numBlocks(), NR = F.numVRegs();
+  unsigned NB = F.numBlocks(), NR = Only ? Only->size() : F.numVRegs();
   L.LiveIn.assign(NB, BitVector(NR));
   L.LiveOut.assign(NB, BitVector(NR));
   L.UEVar.assign(NB, BitVector(NR));
@@ -21,11 +22,13 @@ Liveness Liveness::compute(const Function &F, const CFG &G) {
     BitVector &UE = L.UEVar[B.Id], &Kill = L.VarKill[B.Id];
     for (const Instruction &I : B.Insts) {
       I.forEachUse([&](VRegId R) {
-        if (!Kill.test(R))
-          UE.set(R);
+        uint32_t X = trackedBit(Only, R);
+        if (X != VRegSubset::NotTracked && !Kill.test(X))
+          UE.set(X);
       });
-      if (I.hasDef())
-        Kill.set(I.defReg());
+      if (I.hasDef() &&
+          trackedBit(Only, I.defReg()) != VRegSubset::NotTracked)
+        Kill.set(trackedBit(Only, I.defReg()));
     }
   }
 

@@ -6,114 +6,95 @@
 
 #include "analysis/Renumber.h"
 
-#include "support/BitVector.h"
+#include "analysis/Liveness.h"
 #include "support/UnionFind.h"
 
-#include <cassert>
-#include <map>
+#include <algorithm>
 
 using namespace ra;
 
 namespace {
 
-/// Reaching-definitions solver plus web construction for one function.
+/// Web construction for one function. The union-find nodes are the
+/// definitions, numbered in layout order, followed by one entry node per
+/// (block, live-in vreg). An entry node stands for the definitions that
+/// reach its block's entry, like a pruned-SSA phi: it is united with what
+/// each reachable predecessor passes in — that block's last local def of
+/// the vreg, or its own entry node when some def reaches that.
 class Renumberer {
 public:
-  Renumberer(Function &F, const CFG &G) : F(F), G(G) {}
+  Renumberer(Function &F, const CFG &G)
+      : F(F), G(G), LV(Liveness::compute(F, G)), Node(F.numVRegs()) {}
 
   RenumberStats run() {
     RenumberStats Stats;
     Stats.VRegsBefore = F.numVRegs();
-    enumerateDefs();
-    solveReachingDefs();
+    numberNodes();
     buildWebs();
     rewrite();
     Stats.VRegsAfter = F.numVRegs();
+    Stats.EntryNodes = Webs.size() - NumDefs;
     return Stats;
   }
 
 private:
-  void enumerateDefs() {
-    DefsOf.assign(F.numVRegs(), {});
-    for (const BasicBlock &B : F.blocks())
+  void numberNodes() {
+    unsigned NB = F.numBlocks();
+    uint32_t N = 0;
+    DefBase.resize(NB);
+    for (const BasicBlock &B : F.blocks()) {
+      DefBase[B.Id] = N;
       for (const Instruction &I : B.Insts)
-        if (I.hasDef()) {
-          uint32_t D = DefVReg.size();
-          DefVReg.push_back(I.defReg());
-          DefsOf[I.defReg()].push_back(D);
-        }
+        N += I.hasDef();
+    }
+    NumDefs = N;
+    EntryBase.resize(NB);
+    for (uint32_t B = 0; B < NB; ++B) {
+      EntryBase[B] = N;
+      N += LV.liveIn(B).count();
+    }
+    Webs.reset(N);
+    Reached.assign(N, 0);
+    std::fill_n(Reached.begin(), NumDefs, 1);
   }
 
-  void solveReachingDefs() {
-    unsigned NB = F.numBlocks(), ND = DefVReg.size();
-    Gen.assign(NB, BitVector(ND));
-    Kill.assign(NB, BitVector(ND));
-    In.assign(NB, BitVector(ND));
-    Out.assign(NB, BitVector(ND));
-
-    // Local Gen/Kill: the last def of a vreg in the block survives.
-    uint32_t NextDef = 0;
-    for (const BasicBlock &B : F.blocks()) {
-      BitVector &G_ = Gen[B.Id], &K = Kill[B.Id];
-      for (const Instruction &I : B.Insts) {
-        if (!I.hasDef())
-          continue;
-        uint32_t D = NextDef++;
-        VRegId V = I.defReg();
-        for (uint32_t Other : DefsOf[V]) {
-          K.set(Other);
-          G_.reset(Other);
-        }
-        G_.set(D);
-        K.reset(D);
-      }
-    }
-
-    // Forward fixpoint over the RPO.
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      for (uint32_t B : G.rpo()) {
-        BitVector NewIn(ND);
-        for (uint32_t P : G.preds(B))
-          NewIn.unionWith(Out[P]);
-        BitVector NewOut = NewIn;
-        NewOut.subtract(Kill[B]);
-        NewOut.unionWith(Gen[B]);
-        if (!(NewIn == In[B]) || !(NewOut == Out[B])) {
-          In[B] = std::move(NewIn);
-          Out[B] = std::move(NewOut);
-          Changed = true;
-        }
-      }
-    }
+  /// Points Node[V] at block \p B's entry node for every V live into B.
+  void enterBlock(uint32_t B) {
+    uint32_t E = EntryBase[B];
+    LV.liveIn(B).forEachSetBit([&](unsigned V) { Node[V] = E++; });
   }
 
-  /// Walks every block forward, uniting all definitions that reach a
-  /// common use into one web.
+  /// Leaves Node[V] at what block \p B passes to its successors for every
+  /// V live out of it: the last local def, else B's entry node.
+  void exitBlock(uint32_t B) {
+    enterBlock(B);
+    uint32_t D = DefBase[B];
+    for (const Instruction &I : F.block(B).Insts)
+      if (I.hasDef())
+        Node[I.defReg()] = D++;
+  }
+
+  /// Unites every entry node of a reachable block with what each
+  /// predecessor passes in, once some def is known to reach that. An
+  /// entry no def reaches stays apart: it joins nothing, so it cannot
+  /// link the webs of two successors. "Reached" only grows, so repeating
+  /// the RPO sweep until it settles leaves exactly the reaching-
+  /// definitions webs.
   void buildWebs() {
-    Webs.reset(DefVReg.size());
-    unsigned NR = F.numVRegs();
-
-    // Per-vreg list of currently reaching def ids, rebuilt per block.
-    std::vector<std::vector<uint32_t>> Reaching(NR);
-
-    uint32_t NextDef = 0;
-    for (const BasicBlock &B : F.blocks()) {
-      for (auto &L : Reaching)
-        L.clear();
-      In[B.Id].forEachSetBit(
-          [&](unsigned D) { Reaching[DefVReg[D]].push_back(D); });
-
-      for (const Instruction &I : B.Insts) {
-        I.forEachUse([&](VRegId V) {
-          const std::vector<uint32_t> &Ds = Reaching[V];
-          for (unsigned K = 1; K < Ds.size(); ++K)
-            Webs.unite(Ds[0], Ds[K]);
-        });
-        if (I.hasDef()) {
-          uint32_t D = NextDef++;
-          Reaching[I.defReg()] = {D};
+    for (bool Changed = true; Changed;) {
+      Changed = false;
+      for (uint32_t P : G.rpo()) {
+        exitBlock(P);
+        for (uint32_t S : G.succs(P)) {
+          uint32_t E = EntryBase[S];
+          LV.liveIn(S).forEachSetBit([&](unsigned V) {
+            uint32_t In = Node[V], Entry = E++;
+            if (!Reached[In])
+              return;
+            Webs.unite(Entry, In);
+            if (!Reached[Entry])
+              Reached[Entry] = Changed = true;
+          });
         }
       }
     }
@@ -124,24 +105,23 @@ private:
   void rewrite() {
     unsigned NR = F.numVRegs();
     std::vector<VRegInfo> NewTable;
-    std::map<uint32_t, VRegId> WebToNew; // UF root -> new id
+    std::vector<VRegId> WebToNew(Webs.size(), InvalidVReg); // UF root -> id
     std::vector<unsigned> SplitCount(NR, 0);
-    // Lazily created webs for never-defined registers (kept so that a
+    // Lazily created webs for uses no def reaches (kept so that a
     // malformed function stays structurally intact).
     std::vector<VRegId> UndefWeb(NR, InvalidVReg);
 
-    auto NewRegForWeb = [&](uint32_t Root, VRegId OldV) -> VRegId {
-      auto It = WebToNew.find(Root);
-      if (It != WebToNew.end())
-        return It->second;
+    auto NewRegForWeb = [&](uint32_t N, VRegId OldV) -> VRegId {
+      VRegId &Id = WebToNew[Webs.find(N)];
+      if (Id != InvalidVReg)
+        return Id;
       const VRegInfo &Old = F.vreg(OldV);
       VRegInfo Info = Old;
       unsigned Seq = SplitCount[OldV]++;
       if (Seq > 0)
         Info.Name = Old.Name + "." + std::to_string(Seq);
-      VRegId Id = NewTable.size();
+      Id = NewTable.size();
       NewTable.push_back(std::move(Info));
-      WebToNew[Root] = Id;
       return Id;
     };
 
@@ -154,28 +134,21 @@ private:
       return Id;
     };
 
-    std::vector<std::vector<uint32_t>> Reaching(NR);
+    // A use is either upward-exposed (so live-in, with Node[V] at the
+    // block's entry node) or follows a local def that set Node[V].
     uint32_t NextDef = 0;
     for (BasicBlock &B : F.blocks()) {
-      for (auto &L : Reaching)
-        L.clear();
-      In[B.Id].forEachSetBit(
-          [&](unsigned D) { Reaching[DefVReg[D]].push_back(D); });
-
+      enterBlock(B.Id);
       for (Instruction &I : B.Insts) {
         I.forEachUseOperand([&](Operand &O) {
-          VRegId V = O.Reg;
-          if (Reaching[V].empty()) {
-            O = Operand::reg(UndefRegFor(V));
-            return;
-          }
-          O = Operand::reg(NewRegForWeb(Webs.find(Reaching[V][0]), V));
+          uint32_t N = Node[O.Reg];
+          O = Operand::reg(Reached[N] ? NewRegForWeb(N, O.Reg)
+                                      : UndefRegFor(O.Reg));
         });
         if (I.hasDef()) {
-          uint32_t D = NextDef++;
           VRegId V = I.defReg();
-          I.setDefReg(NewRegForWeb(Webs.find(D), V));
-          Reaching[V] = {D};
+          Node[V] = NextDef++;
+          I.setDefReg(NewRegForWeb(Node[V], V));
         }
       }
     }
@@ -185,10 +158,13 @@ private:
 
   Function &F;
   const CFG &G;
+  Liveness LV; ///< of the input function, over its old vreg ids
 
-  std::vector<VRegId> DefVReg;                ///< def id -> defined vreg
-  std::vector<std::vector<uint32_t>> DefsOf;  ///< vreg -> def ids
-  std::vector<BitVector> Gen, Kill, In, Out;  ///< reaching defs, per block
+  uint32_t NumDefs = 0;
+  std::vector<uint32_t> DefBase;   ///< block -> its first def node
+  std::vector<uint32_t> EntryBase; ///< block -> its first entry node
+  std::vector<uint8_t> Reached;    ///< node -> some def reaches it
+  std::vector<uint32_t> Node;      ///< vreg -> current node (walk state)
   UnionFind Webs;
 };
 

@@ -10,7 +10,10 @@
 /// register) and rewrites the function over a fresh, dense register id
 /// space in which one vreg == one live range. The paper's build phase
 /// begins with "finding and renumbering distinct live ranges"; this pass
-/// is that step, implemented with reaching definitions and union-find.
+/// is that step. Webs are built from liveness with a union-find over the
+/// definitions plus one join node per (block, live-in register) — the
+/// phi placement of pruned SSA, found without dominance frontiers — so
+/// the cost follows live-in sets rather than blocks x definitions.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +28,7 @@ namespace ra {
 struct RenumberStats {
   unsigned VRegsBefore = 0; ///< Register count before splitting.
   unsigned VRegsAfter = 0;  ///< Live-range count after splitting.
+  unsigned EntryNodes = 0;  ///< Join nodes: (block, live-in vreg) pairs.
 };
 
 /// Splits \p F's virtual registers into def-use webs, rewriting every

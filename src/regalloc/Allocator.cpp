@@ -474,8 +474,10 @@ AllocationResult runPasses(Function &F, const AllocatorConfig &C,
                                     .Class = CC.Class,
                                     .D = RangeMetrics::Decision::Coalesced,
                                     .CoalescedInto = CC.Into});
-      if (CS.CopiesRemoved != 0)
+      if (CS.CopiesRemoved != 0) {
+        RA_TRACE_SPAN("Renumber", Step::Category);
         renumberLiveRanges(F, G); // compact ids merged away
+      }
     }
     // Charge the matrices *before* they exist: the triangular bit
     // matrix is the allocation that OOMs at scale, and refusing it up
@@ -485,7 +487,9 @@ AllocationResult runPasses(Function &F, const AllocatorConfig &C,
     if (!Charge.granted())
       return overBudget(std::move(Result), *Gov, Pass);
 
+    RA_TRACE_SPAN_NAMED(LiveSpan, "Liveness", Step::Category);
     Liveness LV = Liveness::compute(F, G);
+    LiveSpan.close();
     Step S(C, Gov);
     S.build(F, LV, Rec);
     PassFeatures X;

@@ -15,11 +15,15 @@ namespace {
 
 /// Walks every block backward from live-out, invoking
 /// \p AddInterference(Def, Live) for each def against each live range
-/// live just after it (excluding a Copy's source). Polls \p Gov once
-/// per block and stops the walk when the budget trips.
+/// live just after it (excluding a Copy's source). Both arguments are
+/// bits of \p LV: vreg ids, or with \p Only its members' bits, in which
+/// case everything outside the subset is skipped. Polls \p Gov once per
+/// block and stops the walk when the budget trips.
 template <typename CallableT>
 void forEachInterference(const Function &F, const Liveness &LV,
-                         CallableT AddInterference, Budget *Gov = nullptr) {
+                         const VRegSubset *Only, CallableT AddInterference,
+                         Budget *Gov = nullptr) {
+  constexpr uint32_t None = VRegSubset::NotTracked;
   BitVector LiveNow;
   for (const BasicBlock &B : F.blocks()) {
     if (Gov && !Gov->checkpoint())
@@ -27,17 +31,20 @@ void forEachInterference(const Function &F, const Liveness &LV,
     LiveNow = LV.liveOut(B.Id);
     for (auto It = B.Insts.rbegin(), E = B.Insts.rend(); It != E; ++It) {
       const Instruction &I = *It;
-      if (I.hasDef()) {
-        VRegId D = I.defReg();
+      if (I.hasDef() && trackedBit(Only, I.defReg()) != None) {
+        uint32_t D = trackedBit(Only, I.defReg());
         // For a copy "d = s", d and s may share a register: exclude s.
-        VRegId CopySrc = I.isCopy() ? I.Ops[1].Reg : InvalidVReg;
+        uint32_t CopySrc = I.isCopy() ? trackedBit(Only, I.Ops[1].Reg) : None;
         LiveNow.forEachSetBit([&](unsigned L) {
           if (L != D && L != CopySrc)
-            AddInterference(D, VRegId(L));
+            AddInterference(D, L);
         });
         LiveNow.reset(D);
       }
-      I.forEachUse([&](VRegId U) { LiveNow.set(U); });
+      I.forEachUse([&](VRegId U) {
+        if (trackedBit(Only, U) != None)
+          LiveNow.set(trackedBit(Only, U));
+      });
     }
   }
 }
@@ -73,7 +80,7 @@ ra::buildInterferenceGraphs(const Function &F, const Liveness &LV,
   }
 
   forEachInterference(
-      F, LV,
+      F, LV, /*Only=*/nullptr,
       [&](VRegId D, VRegId L) {
         if (F.regClass(D) != F.regClass(L))
           return; // disjoint files never compete for a register
@@ -96,12 +103,22 @@ void ra::setNodeCosts(const Function &F, const std::vector<double> &Costs,
     CG.Graph.node(N).SpillCost = Costs[CG.NodeToVReg[N]];
 }
 
-TriangularBitMatrix ra::buildInterferenceMatrix(const Function &F,
-                                                const Liveness &LV) {
-  TriangularBitMatrix M(F.numVRegs());
-  forEachInterference(F, LV, [&](VRegId D, VRegId L) {
-    if (F.regClass(D) == F.regClass(L))
-      M.set(D, L);
+TriangularBitMatrix
+ra::buildInterferenceMatrix(const Function &F, const Liveness &LV,
+                            const VRegSubset *Only,
+                            std::vector<uint32_t> *Degree) {
+  unsigned N = Only ? Only->size() : F.numVRegs();
+  auto ClassOf = [&](uint32_t X) {
+    return F.regClass(Only ? Only->vregOf(X) : X);
+  };
+  TriangularBitMatrix M(N);
+  if (Degree)
+    Degree->assign(N, 0);
+  forEachInterference(F, LV, Only, [&](uint32_t D, uint32_t L) {
+    if (ClassOf(D) == ClassOf(L) && M.testAndSet(D, L) && Degree) {
+      ++(*Degree)[D];
+      ++(*Degree)[L];
+    }
   });
   return M;
 }

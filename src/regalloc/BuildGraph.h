@@ -53,10 +53,15 @@ buildInterferenceGraphs(const Function &F, const Liveness &LV,
 void setNodeCosts(const Function &F, const std::vector<double> &Costs,
                   ClassGraph &CG);
 
-/// Builds a whole-function interference matrix over *all* vregs (both
-/// classes), used by the coalescer for O(1) interference tests.
-TriangularBitMatrix buildInterferenceMatrix(const Function &F,
-                                            const Liveness &LV);
+/// Builds an interference matrix for the coalescer's O(1) tests: over
+/// all vregs of both classes (only same-class pairs are ever set), or,
+/// when \p LV was solved over \p Only, over that subset's bits. When
+/// \p Degree is non-null it receives each node's same-class degree,
+/// counted as edges are first set.
+TriangularBitMatrix
+buildInterferenceMatrix(const Function &F, const Liveness &LV,
+                        const VRegSubset *Only = nullptr,
+                        std::vector<uint32_t> *Degree = nullptr);
 
 } // namespace ra
 

@@ -19,32 +19,49 @@ using namespace ra;
 unsigned ra::coalesceOnePass(Function &F, const CFG &G,
                              CoalescePolicy Policy,
                              const std::optional<MachineInfo> &Machine,
-                             std::vector<CoalescedCopy> *Merges) {
+                             CoalesceStats *Stats) {
   RA_TRACE_SPAN("CoalesceRound", "regalloc");
-  Liveness LV = Liveness::compute(F, G);
-  TriangularBitMatrix Matrix = buildInterferenceMatrix(F, LV);
-  unsigned NR = F.numVRegs();
-
-  // Degrees per vreg, needed by the conservative test.
-  std::vector<uint32_t> Degree;
-  if (Policy == CoalescePolicy::Conservative) {
-    assert(Machine && "conservative coalescing needs register counts");
-    Degree.assign(NR, 0);
-    for (VRegId A = 0; A < NR; ++A)
-      for (VRegId B = A + 1; B < NR; ++B)
-        if (Matrix.test(A, B)) {
-          ++Degree[A];
-          ++Degree[B];
+  auto IsCandidate = [&F](const Instruction &I) {
+    return I.isCopy() && I.Ops[0].Reg != I.Ops[1].Reg &&
+           F.regClass(I.Ops[0].Reg) == F.regClass(I.Ops[1].Reg);
+  };
+  // Aggressive merging asks only whether a copy's two operands
+  // interfere, so liveness and the matrix cover just those operands. The
+  // conservative test also needs every neighbor's degree: all vregs.
+  bool Conservative = Policy == CoalescePolicy::Conservative;
+  VRegSubset Only(F.numVRegs());
+  bool AnyCandidate = false;
+  for (const BasicBlock &B : F.blocks())
+    for (const Instruction &I : B.Insts)
+      if (IsCandidate(I)) {
+        AnyCandidate = true;
+        if (!Conservative) {
+          Only.add(I.Ops[0].Reg);
+          Only.add(I.Ops[1].Reg);
         }
-  }
+      }
+  if (!AnyCandidate)
+    return 0;
+  if (Conservative)
+    for (VRegId R = 0; R < F.numVRegs(); ++R)
+      Only.add(R);
+  if (Stats)
+    Stats->MatrixNodes = std::max(Stats->MatrixNodes, Only.size());
+
+  assert((!Conservative || Machine) &&
+         "conservative coalescing needs register counts");
+  Liveness LV = Liveness::compute(F, G, &Only);
+  std::vector<uint32_t> Degree;
+  TriangularBitMatrix Matrix = buildInterferenceMatrix(
+      F, LV, &Only, Conservative ? &Degree : nullptr);
 
   // Briggs' test: the merged node is safe if it has fewer than k
   // neighbors whose own degree is >= k (low-degree neighbors can always
   // be simplified away first).
-  auto ConservativelySafe = [&](VRegId D, VRegId S) {
-    unsigned K = Machine->numRegs(F.regClass(D));
+  auto ConservativelySafe = [&](uint32_t D, uint32_t S) {
+    unsigned K = Machine->numRegs(F.regClass(Only.vregOf(D)));
     unsigned Significant = 0;
-    for (VRegId N = 0; N < NR; ++N) {
+    for (uint32_t N = 0; N < Only.size(); ++N) {
       if (N == D || N == S)
         continue;
       if (!Matrix.test(N, D) && !Matrix.test(N, S))
@@ -65,22 +82,20 @@ unsigned ra::coalesceOnePass(Function &F, const CFG &G,
 
   for (BasicBlock &B : F.blocks()) {
     for (Instruction &I : B.Insts) {
-      if (!I.isCopy())
+      if (!IsCandidate(I))
         continue;
       VRegId D = I.Ops[0].Reg, S = I.Ops[1].Reg;
-      if (D == S || Touched[D] || Touched[S])
+      if (Touched[D] || Touched[S])
         continue;
-      if (F.regClass(D) != F.regClass(S))
+      uint32_t BD = Only.bitOf(D), BS = Only.bitOf(S);
+      if (Matrix.test(BD, BS))
         continue;
-      if (Matrix.test(D, S))
-        continue;
-      if (Policy == CoalescePolicy::Conservative &&
-          !ConservativelySafe(D, S))
+      if (Conservative && !ConservativelySafe(BD, BS))
         continue;
       unsigned Root = UF.unite(D, S);
-      if (Merges) {
+      if (Stats) {
         VRegId Gone = Root == D ? S : D;
-        Merges->push_back(
+        Stats->Merges.push_back(
             {F.vreg(Gone).Name, F.vreg(Root).Name, F.regClass(D)});
       }
       // A merge with a spill temporary stays protected from re-spilling.
@@ -118,8 +133,7 @@ CoalesceStats ra::coalesceAll(Function &F, const CFG &G,
   while (true) {
     if (Gov && !Gov->checkpoint())
       break; // over budget: stop merging; the IR is valid as-is
-    unsigned Merged =
-        coalesceOnePass(F, G, Policy, Machine, &Stats.Merges);
+    unsigned Merged = coalesceOnePass(F, G, Policy, Machine, &Stats);
     ++Stats.Rounds;
     if (Merged == 0)
       break;

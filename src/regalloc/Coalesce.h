@@ -47,21 +47,27 @@ struct CoalescedCopy {
 struct CoalesceStats {
   unsigned CopiesRemoved = 0; ///< Copies eliminated by merging.
   unsigned Rounds = 0;        ///< Build+merge rounds until fixpoint.
+  /// Nodes in the largest interference matrix any round built: the
+  /// operands of that round's candidate copies (every vreg under the
+  /// Conservative policy); 0 when no round had a candidate.
+  unsigned MatrixNodes = 0;
   /// Every merge in decision order — feeds the per-range metrics
   /// table's Coalesced rows.
   std::vector<CoalescedCopy> Merges;
 };
 
-/// Runs one build+merge round: builds the interference matrix, merges
+/// Runs one build+merge round: builds the interference matrix over the
+/// candidate copies' operands (same class, distinct registers), merges
 /// every coalescable copy whose operands were not already touched by a
-/// merge this round, rewrites operands, and deletes the dead copies.
-/// Returns the number of copies removed; when \p Merges is non-null,
-/// appends one CoalescedCopy per merge. For the Conservative policy,
-/// \p Machine supplies the per-class k.
+/// merge this round, rewrites operands, and deletes the dead copies. A
+/// function with no candidate returns before solving liveness. Returns
+/// the number of copies removed; when \p Stats is non-null, appends one
+/// CoalescedCopy per merge to its Merges and raises its MatrixNodes. For
+/// the Conservative policy, \p Machine supplies the per-class k.
 unsigned coalesceOnePass(Function &F, const CFG &G,
                          CoalescePolicy Policy = CoalescePolicy::Aggressive,
                          const std::optional<MachineInfo> &Machine = {},
-                         std::vector<CoalescedCopy> *Merges = nullptr);
+                         CoalesceStats *Stats = nullptr);
 
 /// Repeats \c coalesceOnePass until no copy can be merged. \p Gov, when
 /// non-null, is polled once per round; a tripped budget stops early —

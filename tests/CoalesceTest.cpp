@@ -8,21 +8,30 @@
 // cases in RegallocTest.cpp: copy subsumption must preserve program
 // semantics exactly, a merge must preserve every interference the two
 // ranges had (mapped onto the surviving root), copies whose operands
-// interfere must never be merged, and the Briggs conservative test must
-// refuse merges that would create a significant-degree node.
+// interfere must never be merged, the Briggs conservative test must
+// refuse merges that would create a significant-degree node, and the
+// matrix over just the copies' operands must answer exactly as the
+// all-vreg one.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Liveness.h"
+#include "analysis/Renumber.h"
 #include "ir/IRBuilder.h"
+#include "ir/IRParser.h"
 #include "ir/Verifier.h"
 #include "regalloc/BuildGraph.h"
 #include "regalloc/Coalesce.h"
 #include "sim/Simulator.h"
+#include "workloads/MegaKernel.h"
+#include "workloads/RandomProgram.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <map>
+#include <sstream>
 
 using namespace ra;
 
@@ -254,6 +263,124 @@ TEST(CoalesceTest, ConservativeRefusesSignificantDegreeMerge) {
   EXPECT_EQ(Conservative.CopiesRemoved, 0u)
       << "merge would create a node with k significant neighbors";
   EXPECT_EQ(countCopies(FC), 1u);
+}
+
+//===--------------------------------------------------------------------===//
+// The matrix over candidate copy operands.
+//===--------------------------------------------------------------------===//
+
+/// Checks, round by round until coalescing settles, that liveness and
+/// the matrix over \p F's candidate copy operands answer every pair of
+/// them exactly as the all-vreg matrix does, and that the degrees the
+/// builder counts match a scan of the full matrix.
+void expectSubsetMatrixMatchesFull(Function &F, const std::string &Label) {
+  CFG G = CFG::compute(F);
+  renumberLiveRanges(F, G);
+  do {
+    Liveness Full = Liveness::compute(F, G);
+    std::vector<uint32_t> Degree;
+    TriangularBitMatrix MFull =
+        buildInterferenceMatrix(F, Full, nullptr, &Degree);
+    for (VRegId A = 0; A < F.numVRegs(); ++A) {
+      uint32_t Scanned = 0;
+      for (VRegId B = 0; B < F.numVRegs(); ++B)
+        Scanned += MFull.test(A, B);
+      ASSERT_EQ(Degree[A], Scanned) << Label << ": degree of " << A;
+    }
+
+    VRegSubset Only(F.numVRegs());
+    for (const BasicBlock &B : F.blocks())
+      for (const Instruction &I : B.Insts)
+        if (I.isCopy() && I.Ops[0].Reg != I.Ops[1].Reg &&
+            F.regClass(I.Ops[0].Reg) == F.regClass(I.Ops[1].Reg)) {
+          Only.add(I.Ops[0].Reg);
+          Only.add(I.Ops[1].Reg);
+        }
+    Liveness Sub = Liveness::compute(F, G, &Only);
+    TriangularBitMatrix MSub = buildInterferenceMatrix(F, Sub, &Only);
+    ASSERT_EQ(MSub.numNodes(), Only.size()) << Label;
+    for (uint32_t X = 0; X < Only.size(); ++X)
+      for (uint32_t Y = 0; Y < Only.size(); ++Y)
+        ASSERT_EQ(MSub.test(X, Y),
+                  MFull.test(Only.vregOf(X), Only.vregOf(Y)))
+            << Label << ": " << F.vreg(Only.vregOf(X)).Name << " -- "
+            << F.vreg(Only.vregOf(Y)).Name;
+  } while (coalesceOnePass(F, G) != 0);
+}
+
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path);
+  std::ostringstream SS;
+  SS << In.rdbuf();
+  return SS.str();
+}
+
+TEST(CoalesceTest, SubsetMatrixMatchesFullOnCorpus) {
+  for (int Seed = 0; Seed < 8; ++Seed) {
+    char Name[32];
+    std::snprintf(Name, sizeof(Name), "seed%04d.ral", Seed);
+    Module M;
+    std::string Error;
+    ASSERT_TRUE(parseModule(
+        readFile(std::string(RA_TESTS_DIR) + "/corpus/" + Name), M, Error))
+        << Name << ": " << Error;
+    for (unsigned I = 0; I < M.numFunctions(); ++I)
+      expectSubsetMatrixMatchesFull(M.function(I), Name);
+  }
+}
+
+TEST(CoalesceTest, SubsetMatrixMatchesFullOnFigure5Routines) {
+  for (const Workload &W : allWorkloads()) {
+    Module M;
+    expectSubsetMatrixMatchesFull(W.Build(M), W.Routine);
+  }
+}
+
+TEST(CoalesceTest, SubsetMatrixMatchesFullOnRandomPrograms) {
+  for (uint64_t Seed = 0; Seed < 200; ++Seed) {
+    Module M;
+    expectSubsetMatrixMatchesFull(buildRandomProgram(M, Seed),
+                                  "random seed " + std::to_string(Seed));
+  }
+}
+
+TEST(CoalesceTest, CopyFreeRoundBuildsNoMatrix) {
+  Module M;
+  Function &F = M.newFunction("f");
+  IRBuilder B(M, F);
+  B.setInsertPoint(B.newBlock("entry"));
+  VRegId A = B.movI(1);
+  VRegId C = B.copy(A, A); // a self-copy is no candidate
+  B.ret(B.add(A, C));
+
+  CFG G = CFG::compute(F);
+  for (CoalescePolicy P :
+       {CoalescePolicy::Aggressive, CoalescePolicy::Conservative}) {
+    CoalesceStats S;
+    EXPECT_EQ(coalesceOnePass(F, G, P, MachineInfo(2, 2), &S), 0u);
+    EXPECT_EQ(S.MatrixNodes, 0u);
+  }
+}
+
+TEST(CoalesceTest, MatrixCoversOnlyCopyOperandsOnMegaKernels) {
+  // The ramp and the wide loop carry no copies, so no round builds a
+  // matrix; the random kernel's matrix stays within its copies'
+  // operands instead of spanning every live range.
+  for (const MegaKernel &MK : megaKernelTestFamily()) {
+    Module M;
+    Function &F = MK.Build(M);
+    CFG G = CFG::compute(F);
+    renumberLiveRanges(F, G);
+    unsigned Copies = countCopies(F);
+    CoalesceStats S = coalesceAll(F, G);
+    if (MK.Kind == "random") {
+      EXPECT_GT(S.MatrixNodes, 0u) << MK.Name;
+      EXPECT_LE(S.MatrixNodes, 2 * Copies) << MK.Name;
+      EXPECT_LT(S.MatrixNodes, F.numVRegs()) << MK.Name;
+    } else {
+      EXPECT_EQ(S.MatrixNodes, 0u) << MK.Name;
+    }
+  }
 }
 
 } // namespace

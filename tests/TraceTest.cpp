@@ -246,7 +246,7 @@ TEST(Trace, PipelineEmitsAllPhaseSpans) {
   for (const char *Phase :
        {"BuildGraph", "Coalesce", "SpillCost", "Simplify", "Select",
         "SpillInserter", "AllocationAudit", "AllocateFunction", "Build",
-        "Pass", "Renumber", "ModuleAlloc"})
+        "Pass", "Renumber", "Liveness", "ModuleAlloc"})
     EXPECT_TRUE(HasSpan(Phase)) << "missing span " << Phase;
   EXPECT_GT(Log.counter("coloring.spilled"), 0.0)
       << "canned input must spill at int=4";
