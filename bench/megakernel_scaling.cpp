@@ -77,23 +77,14 @@ void runSubject(const std::string &Name, const InterferenceGraph &G,
 int main(int Argc, char **Argv) {
   std::string JsonPath = BenchJson::consumeFlag(Argc, Argv);
   unsigned Repeats = 3;
-  uint64_t MemBudgetBytes = 0;
   for (int I = 1; I < Argc; ++I) {
-    Status Err;
-    if (std::strcmp(Argv[I], "--repeats") == 0 && I + 1 < Argc) {
-      Err = parseUnsigned(Argv[++I], Repeats, 1);
-    } else if (std::strcmp(Argv[I], "--mem-budget-mb") == 0 &&
-               I + 1 < Argc) {
-      uint64_t Mb = 0;
-      Err = parseUnsigned(Argv[++I], Mb, 0, MaxMegabytes);
-      MemBudgetBytes = Mb << 20;
-    } else {
+    if (std::strcmp(Argv[I], "--repeats") != 0 || I + 1 == Argc) {
       std::fprintf(stderr,
                    "usage: megakernel_scaling [--repeats N] "
-                   "[--mem-budget-mb N] [--bench-json FILE]\n");
+                   "[--bench-json FILE]\n");
       return 2;
     }
-    if (!Err.ok())
+    if (Status Err = parseUnsigned(Argv[++I], Repeats, 1); !Err.ok())
       die(Argv[I - 1], Err.toString());
   }
 
@@ -107,15 +98,6 @@ int main(int Argc, char **Argv) {
   // Generated kernels: build the IR, replicate the build phase, then
   // time Select on the biggest class graph.
   for (const MegaKernel &MK : megaKernelFamily()) {
-    // Capacity guard: refuse a kernel whose triangular interference
-    // matrix would blow the budget *before* building any IR, with the
-    // remedy in the message — not a silent attempt that OOMs mid-run.
-    if (Status Cap = checkMegaKernelCapacity(MK, MemBudgetBytes); !Cap.ok()) {
-      std::fprintf(stderr, "megakernel_scaling: skipping %s\n",
-                   Cap.toString().c_str());
-      J.set(MK.Name + ".skipped", Cap.toString());
-      continue;
-    }
     Module M;
     Function &F = MK.Build(M);
     auto Graphs = buildColoringGraphs(F);
@@ -135,12 +117,7 @@ int main(int Argc, char **Argv) {
   }
 
   // End-to-end: the full allocator on the 10k ramp, audited.
-  if (Status Cap = checkMegaKernelCapacity(megaKernelFamily()[0],
-                                           MemBudgetBytes);
-      !Cap.ok()) {
-    std::fprintf(stderr, "megakernel_scaling: skipping end-to-end: %s\n",
-                 Cap.toString().c_str());
-  } else {
+  {
     Module M;
     Function &F = megaKernelFamily()[0].Build(M);
     AllocatorConfig C;

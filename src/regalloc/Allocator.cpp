@@ -38,6 +38,7 @@
 #include <cassert>
 #include <chrono>
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <string_view>
 #include <thread>
@@ -194,25 +195,20 @@ public:
 
   ColoringStep(const AllocatorConfig &C, Budget *Gov) : C(C), Gov(Gov) {}
 
-  /// Bytes of the class matrices the build step is about to allocate.
-  static uint64_t matrixBytes(const Function &F, const AllocatorConfig &C) {
-    std::array<uint64_t, NumRegClasses> ClassNodes{};
-    for (VRegId R = 0; R < F.numVRegs(); ++R)
-      ++ClassNodes[static_cast<unsigned>(F.regClass(R))];
-    uint64_t Bytes = 0;
-    for (uint64_t N : ClassNodes)
-      Bytes += InterferenceGraph::estimateBytes(N);
-    if (C.FaultInject.GraphMemorySpike)
-      Bytes += uint64_t(1) << 30; // pretend the graph is ~1 GB bigger
-    return Bytes;
-  }
-
+  /// Builds the class graphs and charges what they hold for the rest of
+  /// the pass. A refused charge latches the token, so runPasses'
+  /// post-build check exits over budget.
   void build(const Function &F, const Liveness &LV, PassRecord &Rec) {
     Graphs = buildInterferenceGraphs(F, LV, Gov);
+    uint64_t Bytes = 0;
     for (const ClassGraph &CG : Graphs) {
       Rec.LiveRanges += CG.Graph.numNodes();
       Rec.Interferences += CG.Graph.numEdges();
+      Bytes += CG.Graph.memoryBytes();
     }
+    if (C.FaultInject.GraphMemorySpike)
+      Bytes += uint64_t(1) << 30; // pretend the graphs are ~1 GB bigger
+    Charge.emplace(Gov, Bytes);
   }
 
   void decide(const Function &F, const PassFeatures &X) {
@@ -291,14 +287,15 @@ private:
   const AllocatorConfig &C;
   Budget *Gov;
   std::array<ClassGraph, NumRegClasses> Graphs;
+  std::optional<ScopedCharge> Charge;
   std::array<ColoringResult, NumRegClasses> Colorings;
 };
 
 /// The linear-scan middle of a pass: live intervals over an instruction
 /// slot numbering, then one start-ordered walk over both classes. It
-/// builds no matrix, so it charges the budget nothing. Because spill
-/// temporaries carry an infinite cost estimate, the walk never evicts
-/// them, so the cycle converges like the coloring one.
+/// charges the budget nothing. Because spill temporaries carry an
+/// infinite cost estimate, the walk never evicts them, so the cycle
+/// converges like the coloring one.
 class ScanStep {
 public:
   static constexpr const char *Category = "linearscan";
@@ -306,10 +303,6 @@ public:
       "no linear-scan allocation after ";
 
   ScanStep(const AllocatorConfig &C, Budget *Gov) : C(C), Gov(Gov) {}
-
-  static uint64_t matrixBytes(const Function &, const AllocatorConfig &) {
-    return 0;
-  }
 
   void build(const Function &F, const Liveness &LV, PassRecord &) {
     LI = LiveIntervals::compute(F, LV, InstrNumbering::compute(F));
@@ -430,11 +423,11 @@ AllocationResult overBudget(AllocationResult Result, Budget &Gov,
 /// and a NonConvergence diagnostic, but performs no auditing or
 /// fallback — allocateRegisters layers those on top.
 ///
-/// With a governed \p Gov: each pass charges the step's matrix bytes
-/// before building (a refusal exits before the bytes exist), every long
-/// loop polls the token, and phase boundaries force a deadline check, so
-/// a trip surfaces as a Failed over-budget result within one phase of
-/// the expiry.
+/// With a governed \p Gov: coalescing charges each round's matrix
+/// before building it, the coloring step charges its graphs once built,
+/// every long loop polls the token, and phase boundaries force a
+/// deadline check, so a trip surfaces as a Failed over-budget result
+/// within one phase of the expiry.
 template <typename Step>
 AllocationResult runPasses(Function &F, const AllocatorConfig &C,
                            const CFG &G, const LoopInfo &Loops,
@@ -479,14 +472,6 @@ AllocationResult runPasses(Function &F, const AllocatorConfig &C,
         renumberLiveRanges(F, G); // compact ids merged away
       }
     }
-    // Charge the matrices *before* they exist: the triangular bit
-    // matrix is the allocation that OOMs at scale, and refusing it up
-    // front turns a would-be OOM into a clean over-budget exit. The
-    // charge is held for the pass (the graphs die with the iteration).
-    ScopedCharge Charge(Gov, Gov ? Step::matrixBytes(F, C) : 0);
-    if (!Charge.granted())
-      return overBudget(std::move(Result), *Gov, Pass);
-
     RA_TRACE_SPAN_NAMED(LiveSpan, "Liveness", Step::Category);
     Liveness LV = Liveness::compute(F, G);
     LiveSpan.close();
@@ -645,8 +630,8 @@ AllocationResult ra::allocateRegisters(Function &F,
   }
 
   // Rung 1 of the budget ladder: graph coloring ran over its deadline
-  // or was refused its matrices — retry under linear scan, which
-  // allocates no triangular matrix and is the measured-cheaper engine,
+  // or was refused its graphs' memory — retry under linear scan, which
+  // builds no interference graph and is the measured-cheaper engine,
   // before surrendering registers entirely. The retry keeps the same
   // token (memory charges carry over) with a fresh deadline window, and
   // is audited unconditionally: degraded code must never be wrong code.

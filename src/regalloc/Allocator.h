@@ -79,10 +79,10 @@ struct FaultInjectOptions {
   /// deterministically trips a tiny deadline so every ladder rung is
   /// provable without relying on machine speed.
   unsigned SlowPhaseMicros = 0;
-  /// Pretend the interference-graph matrix estimate is ~1 GB larger
-  /// than it is, so a memory budget refuses the graph-coloring build
-  /// up front and the ladder retries under linear scan (which has no
-  /// triangular matrix and charges nothing extra).
+  /// Pretend the class interference graphs are ~1 GB larger than they
+  /// are, so a memory budget refuses their charge after the build and
+  /// the ladder retries under linear scan (which builds no graph and
+  /// charges nothing extra).
   bool GraphMemorySpike = false;
 
   bool any() const {
@@ -138,11 +138,11 @@ struct AllocatorConfig {
   /// result is Degraded with a DeadlineExceeded status rather than
   /// Failed. rac's --deadline-ms.
   double DeadlineSeconds = 0;
-  /// Byte ceiling per function for governed allocations — today the
-  /// dominant O(N^2)-bit interference matrices, charged up front from
-  /// InterferenceGraph::estimateBytes so a would-be OOM is refused
-  /// before the matrix exists (0 = unbounded). Same ladder as the
-  /// deadline. rac's --mem-budget-mb.
+  /// Byte ceiling per function for governed allocations (0 =
+  /// unbounded): coalescing's O(N^2)-bit matrix, charged before it is
+  /// built, and the class interference graphs, charged at their real
+  /// size once built. Same ladder as the deadline. rac's
+  /// --mem-budget-mb.
   uint64_t MemoryBudgetBytes = 0;
 
   /// True when either resource limit is armed.

@@ -19,7 +19,7 @@ using namespace ra;
 unsigned ra::coalesceOnePass(Function &F, const CFG &G,
                              CoalescePolicy Policy,
                              const std::optional<MachineInfo> &Machine,
-                             CoalesceStats *Stats) {
+                             CoalesceStats *Stats, Budget *Gov) {
   RA_TRACE_SPAN("CoalesceRound", "regalloc");
   auto IsCandidate = [&F](const Instruction &I) {
     return I.isCopy() && I.Ops[0].Reg != I.Ops[1].Reg &&
@@ -45,6 +45,17 @@ unsigned ra::coalesceOnePass(Function &F, const CFG &G,
   if (Conservative)
     for (VRegId R = 0; R < F.numVRegs(); ++R)
       Only.add(R);
+  // A matrix past MaxNodes cannot be indexed, so it is neither charged
+  // nor built. A refused charge latches Gov, which also ends the
+  // fixpoint at coalesceAll's next checkpoint.
+  bool Fits = Only.size() <= TriangularBitMatrix::MaxNodes;
+  ScopedCharge Charge(Fits ? Gov : nullptr,
+                      TriangularBitMatrix::bytesFor(Only.size()));
+  if (!Fits || !Charge.granted()) {
+    if (Stats)
+      ++Stats->MatricesRefused;
+    return 0;
+  }
   if (Stats)
     Stats->MatrixNodes = std::max(Stats->MatrixNodes, Only.size());
 
@@ -133,7 +144,7 @@ CoalesceStats ra::coalesceAll(Function &F, const CFG &G,
   while (true) {
     if (Gov && !Gov->checkpoint())
       break; // over budget: stop merging; the IR is valid as-is
-    unsigned Merged = coalesceOnePass(F, G, Policy, Machine, &Stats);
+    unsigned Merged = coalesceOnePass(F, G, Policy, Machine, &Stats, Gov);
     ++Stats.Rounds;
     if (Merged == 0)
       break;

@@ -51,6 +51,9 @@ struct CoalesceStats {
   /// operands of that round's candidate copies (every vreg under the
   /// Conservative policy); 0 when no round had a candidate.
   unsigned MatrixNodes = 0;
+  /// Rounds that merged nothing because their matrix was refused: past
+  /// TriangularBitMatrix::MaxNodes nodes, or by the budget.
+  unsigned MatricesRefused = 0;
   /// Every merge in decision order — feeds the per-range metrics
   /// table's Coalesced rows.
   std::vector<CoalescedCopy> Merges;
@@ -63,11 +66,13 @@ struct CoalesceStats {
 /// function with no candidate returns before solving liveness. Returns
 /// the number of copies removed; when \p Stats is non-null, appends one
 /// CoalescedCopy per merge to its Merges and raises its MatrixNodes. For
-/// the Conservative policy, \p Machine supplies the per-class k.
+/// the Conservative policy, \p Machine supplies the per-class k. \p Gov
+/// is charged for the matrix before it is built.
 unsigned coalesceOnePass(Function &F, const CFG &G,
                          CoalescePolicy Policy = CoalescePolicy::Aggressive,
                          const std::optional<MachineInfo> &Machine = {},
-                         CoalesceStats *Stats = nullptr);
+                         CoalesceStats *Stats = nullptr,
+                         Budget *Gov = nullptr);
 
 /// Repeats \c coalesceOnePass until no copy can be merged. \p Gov, when
 /// non-null, is polled once per round; a tripped budget stops early —

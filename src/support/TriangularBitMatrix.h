@@ -8,7 +8,9 @@
 /// Lower-triangular bit matrix for symmetric relations over node ids.
 /// Chaitin's allocator keeps the interference relation in exactly this
 /// shape for O(1) membership tests, alongside adjacency vectors for
-/// iteration [CACC 81]; we reuse the structure here.
+/// iteration [CACC 81]. Here only the coalescer queries membership.
+/// Sizes are computed in 64 bits; BitVector's 32-bit count caps a
+/// matrix at MaxNodes nodes, which callers check before building one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +21,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 
 namespace ra {
 
@@ -31,10 +34,24 @@ public:
 
   explicit TriangularBitMatrix(unsigned NumNodes) { reset(NumNodes); }
 
+  /// Bits in the lower triangle over \p NumNodes nodes.
+  static constexpr uint64_t numBits(uint64_t NumNodes) {
+    return NumNodes < 2 ? 0 : NumNodes * (NumNodes - 1) / 2;
+  }
+
+  /// Bytes a matrix over \p NumNodes nodes allocates.
+  static constexpr uint64_t bytesFor(uint64_t NumNodes) {
+    return (numBits(NumNodes) + 63) / 64 * 8;
+  }
+
+  /// Largest node count whose bits BitVector can index.
+  static constexpr uint64_t MaxNodes = 92682;
+
   /// Discards all pairs and resizes to \p NumNodes nodes.
   void reset(unsigned NumNodes) {
+    assert(NumNodes <= MaxNodes && "matrix past BitVector's 32-bit size");
     N = NumNodes;
-    Bits = BitVector(N < 2 ? 0 : N * (N - 1) / 2);
+    Bits = BitVector(unsigned(numBits(N)));
   }
 
   unsigned numNodes() const { return N; }
@@ -62,8 +79,8 @@ private:
   unsigned index(unsigned A, unsigned B) const {
     assert(A != B && "no self edges in a triangular matrix");
     assert(A < N && B < N && "node id out of range");
-    unsigned Hi = std::max(A, B), Lo = std::min(A, B);
-    return Hi * (Hi - 1) / 2 + Lo;
+    uint64_t Hi = std::max(A, B), Lo = std::min(A, B);
+    return unsigned(numBits(Hi) + Lo);
   }
 
   unsigned N = 0;

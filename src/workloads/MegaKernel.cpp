@@ -112,19 +112,19 @@ Function &ra::buildRandomStress(Module &M, uint64_t Seed, unsigned Regions,
 
 const std::vector<MegaKernel> &ra::megaKernelFamily() {
   static const std::vector<MegaKernel> Family = {
-      {"mega.ramp.10k", "ramp", 10000,
+      {"mega.ramp.10k", "ramp",
        [](Module &M) -> Function & {
          return buildPressureRamp(M, 10000, 32, "MEGARAMP10K");
        }},
-      {"mega.ramp.50k", "ramp", 50000,
+      {"mega.ramp.50k", "ramp",
        [](Module &M) -> Function & {
          return buildPressureRamp(M, 50000, 64, "MEGARAMP50K");
        }},
-      {"mega.wide.12k", "wide", 12000,
+      {"mega.wide.12k", "wide",
        [](Module &M) -> Function & {
          return buildWideUnrolledLoop(M, 96, 6000, "MEGAWIDE12K");
        }},
-      {"mega.rand.16k", "random", 16000,
+      {"mega.rand.16k", "random",
        [](Module &M) -> Function & {
          return buildRandomStress(M, 20260808, 600, "MEGARAND16K");
        }},
@@ -134,36 +134,20 @@ const std::vector<MegaKernel> &ra::megaKernelFamily() {
 
 const std::vector<MegaKernel> &ra::megaKernelTestFamily() {
   static const std::vector<MegaKernel> Family = {
-      {"mini.ramp", "ramp", 3000,
+      {"mini.ramp", "ramp",
        [](Module &M) -> Function & {
          return buildPressureRamp(M, 3000, 16, "MINIRAMP");
        }},
-      {"mini.wide", "wide", 1700,
+      {"mini.wide", "wide",
        [](Module &M) -> Function & {
          return buildWideUnrolledLoop(M, 24, 800, "MINIWIDE");
        }},
-      {"mini.rand", "random", 2000,
+      {"mini.rand", "random",
        [](Module &M) -> Function & {
          return buildRandomStress(M, 7, 100, "MINIRAND");
        }},
   };
   return Family;
-}
-
-Status ra::checkMegaKernelCapacity(const MegaKernel &MK,
-                                   uint64_t MemoryBudgetBytes) {
-  if (MemoryBudgetBytes == 0)
-    return Status();
-  uint64_t Estimate = InterferenceGraph::estimateBytes(MK.ApproxRanges);
-  if (Estimate <= MemoryBudgetBytes)
-    return Status();
-  return Status::error(
-      StatusCode::MemoryBudgetExceeded,
-      MK.Name + ": ~" + std::to_string(MK.ApproxRanges) +
-          " live ranges need an estimated " + std::to_string(Estimate) +
-          " bytes of interference matrix, over the " +
-          std::to_string(MemoryBudgetBytes) +
-          "-byte budget; raise --mem-budget-mb or skip this kernel");
 }
 
 std::array<ClassGraph, NumRegClasses> ra::buildColoringGraphs(Function &F) {

@@ -9,7 +9,7 @@
 /// interference graphs reach tens of thousands of live ranges. The
 /// paper's Figure 5 routines top out at a few hundred ranges, which is
 /// too small to show how each phase scales; these shapes make the
-/// O(N^2) build and the front end measurable while staying
+/// graph build, Simplify and the front end measurable while staying
 /// verifier-clean, terminating, and executable — every kernel
 /// folds its values into a store + return, so the simulator can compare
 /// runs before and after allocation exactly.
@@ -37,7 +37,6 @@
 
 #include "ir/Module.h"
 #include "regalloc/BuildGraph.h"
-#include "support/Status.h"
 
 #include <functional>
 #include <string>
@@ -49,32 +48,18 @@ namespace ra {
 struct MegaKernel {
   std::string Name; ///< "mega.ramp.10k" — unique within the family.
   std::string Kind; ///< "ramp", "wide", "random".
-  /// Approximate live ranges the kernel produces — the N that sizes the
-  /// O(N^2)-bit triangular interference matrix. Capacity guards
-  /// (checkMegaKernelCapacity) use it to refuse a kernel *before*
-  /// building anything.
-  uint64_t ApproxRanges = 0;
   /// Builds the kernel (arrays + one function) into a fresh module.
   std::function<Function &(Module &)> Build;
 };
 
-/// Bench-scale family: ≥10k live ranges per member (the largest ~50k —
-/// the triangular interference bit matrix is O(N^2) bits, so 50k nodes
-/// costs ~156 MB while 100k would cost ~625 MB).
+/// Bench-scale family: ≥10k live ranges per member, the largest ~50k.
+/// Spill code pushes the 50k ramp past 65,536 vregs; the class graphs
+/// hold only adjacency, O(N + E) bytes, so that scale needs no matrix.
 const std::vector<MegaKernel> &megaKernelFamily();
 
 /// Fast variants of the same three shapes (a few thousand ranges) for
 /// unit/determinism tests that run in milliseconds.
 const std::vector<MegaKernel> &megaKernelTestFamily();
-
-/// Explicit capacity guard: Ok when \p MK's triangular interference
-/// matrix (estimated from ApproxRanges) fits \p MemoryBudgetBytes, or a
-/// MemoryBudgetExceeded error naming the kernel, the estimate, and the
-/// budget — with the remedy (raise the budget or drop the kernel) in
-/// the message — instead of silently attempting the allocation.
-/// \p MemoryBudgetBytes == 0 means unbounded (always Ok).
-Status checkMegaKernelCapacity(const MegaKernel &MK,
-                               uint64_t MemoryBudgetBytes);
 
 /// Straight-line register-pressure ramp: ~\p Ranges float live ranges
 /// in one block, each live for ~\p Width defs (degree ~2*Width).

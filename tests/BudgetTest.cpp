@@ -12,8 +12,8 @@
 //  * a deadline trip mid-coloring retries under linear scan and then
 //    spill-everything — the function always comes back usable
 //    (Degraded), audited, with a Status naming the exhausted resource;
-//  * a memory budget refuses the interference matrix *before* the
-//    bytes exist;
+//  * a memory budget refuses coalescing's matrix before it is built,
+//    and the class graphs once their real size is known;
 //  * governance off (the default) and governance with generous limits
 //    are byte-identical to each other.
 //
@@ -24,6 +24,7 @@
 #include "regalloc/Allocator.h"
 #include "sim/Simulator.h"
 #include "support/Budget.h"
+#include "support/TriangularBitMatrix.h"
 #include "workloads/MegaKernel.h"
 #include "workloads/RandomProgram.h"
 
@@ -175,9 +176,10 @@ TEST(AllocatorBudgetTest, GraphMemorySpikeRetriesUnderLinearScan) {
 }
 
 TEST(AllocatorBudgetTest, TinyMemoryBudgetRefusesMatrixUpFront) {
-  // mini.ramp's ~3000 ranges need ~600 KB of triangular matrix; a
-  // 100 KB budget must refuse the build *before* allocating it and
-  // still hand back a usable allocation from a cheaper rung.
+  // mini.ramp's ~3000 ranges hold well over 100 KB of class graph (the
+  // per-node arrays alone are ~180 KB, before ~50k edges). A 100 KB
+  // budget refuses the graphs' charge right after the build, and the
+  // function still comes back usable from a cheaper rung.
   Module M;
   Function &F = megaKernelTestFamily()[0].Build(M);
   AllocatorConfig C;
@@ -289,31 +291,21 @@ TEST(AllocatorBudgetTest, ModuleUnderTinyBudgetsNeverFails) {
 }
 
 //===--------------------------------------------------------------------===//
-// Capacity estimation and the MegaKernel guard.
+// Capacity estimation.
 //===--------------------------------------------------------------------===//
 
 TEST(CapacityTest, EstimateBytesScalesQuadratically) {
+  // The quadratic term is coalescing's matrix; the class graph's
+  // up-front cost is its node arrays, linear in the node count.
+  EXPECT_EQ(TriangularBitMatrix::bytesFor(0), 0u);
+  // 50k nodes: the triangular bit matrix is ~156 MB.
+  EXPECT_GT(TriangularBitMatrix::bytesFor(50000), 156000000ull);
+  EXPECT_LT(TriangularBitMatrix::bytesFor(50000), 157000000ull);
+  EXPECT_GT(TriangularBitMatrix::bytesFor(2000),
+            3 * TriangularBitMatrix::bytesFor(1000));
   EXPECT_EQ(InterferenceGraph::estimateBytes(0), 0u);
-  // 50k nodes: the triangular bit matrix alone is ~156 MB.
-  EXPECT_GT(InterferenceGraph::estimateBytes(50000), 150ull << 20);
-  EXPECT_LT(InterferenceGraph::estimateBytes(50000), 200ull << 20);
-  EXPECT_LT(InterferenceGraph::estimateBytes(1000),
-            InterferenceGraph::estimateBytes(2000));
-}
-
-TEST(CapacityTest, MegaKernelGuardRefusesOverBudgetKernels) {
-  const MegaKernel &Big = megaKernelFamily()[1]; // mega.ramp.50k
-  // Unbounded budget: always Ok.
-  EXPECT_TRUE(checkMegaKernelCapacity(Big, 0).ok());
-  // Roomy budget: Ok.
-  EXPECT_TRUE(checkMegaKernelCapacity(Big, 1ull << 30).ok());
-  // 16 MB cannot hold a ~156 MB matrix: an actionable refusal naming
-  // the kernel and the remedy, not a silent attempt.
-  Status S = checkMegaKernelCapacity(Big, 16ull << 20);
-  ASSERT_FALSE(S.ok());
-  EXPECT_EQ(S.code(), StatusCode::MemoryBudgetExceeded);
-  EXPECT_NE(S.toString().find(Big.Name), std::string::npos);
-  EXPECT_NE(S.toString().find("--mem-budget-mb"), std::string::npos);
+  EXPECT_EQ(InterferenceGraph::estimateBytes(2000),
+            2 * InterferenceGraph::estimateBytes(1000));
 }
 
 } // namespace

@@ -9,9 +9,10 @@
 // semantics exactly, a merge must preserve every interference the two
 // ranges had (mapped onto the surviving root), copies whose operands
 // interfere must never be merged, the Briggs conservative test must
-// refuse merges that would create a significant-degree node, and the
+// refuse merges that would create a significant-degree node, the
 // matrix over just the copies' operands must answer exactly as the
-// all-vreg one.
+// all-vreg one, and a matrix that cannot be indexed or afforded is
+// refused instead of built.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +24,8 @@
 #include "regalloc/BuildGraph.h"
 #include "regalloc/Coalesce.h"
 #include "sim/Simulator.h"
+#include "support/Budget.h"
+#include "support/TriangularBitMatrix.h"
 #include "workloads/MegaKernel.h"
 #include "workloads/RandomProgram.h"
 #include "workloads/Workloads.h"
@@ -380,6 +383,64 @@ TEST(CoalesceTest, MatrixCoversOnlyCopyOperandsOnMegaKernels) {
     } else {
       EXPECT_EQ(S.MatrixNodes, 0u) << MK.Name;
     }
+  }
+}
+
+/// "a = 1; b = a; ret a + b": one coalescable copy.
+Function &buildOneCopy(Module &M) {
+  Function &F = M.newFunction("f");
+  IRBuilder B(M, F);
+  B.setInsertPoint(B.newBlock("entry"));
+  VRegId A = B.movI(1);
+  VRegId C = B.copy(A);
+  B.ret(B.add(A, C));
+  return F;
+}
+
+TEST(CoalesceTest, MatrixPastMaxNodesIsRefusedNotBuilt) {
+  // Conservative coalescing spans every vreg; one past MaxNodes cannot
+  // be indexed by a 32-bit BitVector, so the round merges nothing.
+  Module M;
+  Function &F = buildOneCopy(M);
+  while (F.numVRegs() <= TriangularBitMatrix::MaxNodes)
+    F.newVReg(RegClass::Int);
+  unsigned CopiesBefore = countCopies(F);
+  CFG G = CFG::compute(F);
+  CoalesceStats S =
+      coalesceAll(F, G, CoalescePolicy::Conservative, MachineInfo(2, 2));
+  EXPECT_EQ(S.CopiesRemoved, 0u);
+  EXPECT_EQ(S.MatricesRefused, 1u);
+  EXPECT_EQ(S.MatrixNodes, 0u);
+  EXPECT_EQ(countCopies(F), CopiesBefore);
+}
+
+TEST(CoalesceTest, GovernedRoundChargesItsMatrixFirst) {
+  {
+    // Granted: the matrix is charged while the round holds it.
+    Module M;
+    Function &F = buildOneCopy(M);
+    CFG G = CFG::compute(F);
+    Budget Gov;
+    Gov.arm(0, 1 << 20);
+    CoalesceStats S = coalesceAll(F, G, CoalescePolicy::Aggressive, {}, &Gov);
+    EXPECT_EQ(S.CopiesRemoved, 1u);
+    EXPECT_EQ(S.MatricesRefused, 0u);
+    EXPECT_EQ(Gov.peakBytes(), TriangularBitMatrix::bytesFor(2));
+    EXPECT_EQ(Gov.currentBytes(), 0u);
+  }
+  {
+    // Refused: nothing merges and the token latches.
+    Module M;
+    Function &F = buildOneCopy(M);
+    CFG G = CFG::compute(F);
+    Budget Gov;
+    Gov.arm(0, 1);
+    CoalesceStats S = coalesceAll(F, G, CoalescePolicy::Aggressive, {}, &Gov);
+    EXPECT_EQ(S.CopiesRemoved, 0u);
+    EXPECT_EQ(S.MatricesRefused, 1u);
+    EXPECT_EQ(countCopies(F), 1u);
+    EXPECT_TRUE(Gov.exhausted());
+    EXPECT_EQ(Gov.status().code(), StatusCode::MemoryBudgetExceeded);
   }
 }
 

@@ -294,13 +294,20 @@ TEST(DegreeBucketsTest, SearchHintNeverSkipsWork) {
 
 TEST(InterferenceGraphTest, AddEdgeDeduplicates) {
   InterferenceGraph G(3);
-  EXPECT_TRUE(G.addEdge(0, 1));
-  EXPECT_FALSE(G.addEdge(1, 0)) << "duplicate edges rejected";
-  EXPECT_FALSE(G.addEdge(2, 2)) << "self edges rejected";
-  EXPECT_EQ(G.numEdges(), 1u);
+  G.addEdge(0, 1);
+  G.addEdge(1, 0); // duplicate, other orientation
+  G.addEdge(0, 1); // duplicate, same orientation
+  G.addEdge(2, 2); // self edge
+  EXPECT_EQ(G.numEdges(), 1u) << "duplicate and self edges dropped";
   EXPECT_EQ(G.degree(0), 1u);
+  EXPECT_EQ(G.degree(1), 1u);
+  EXPECT_EQ(G.degree(2), 0u);
+  ASSERT_EQ(G.neighbors(1).size(), 1u);
+  EXPECT_EQ(G.neighbors(1)[0], 0u);
   EXPECT_TRUE(G.interferes(0, 1));
+  EXPECT_TRUE(G.interferes(1, 0));
   EXPECT_FALSE(G.interferes(0, 2));
+  EXPECT_FALSE(G.interferes(2, 2));
 }
 
 } // namespace

@@ -11,19 +11,24 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Renumber.h"
 #include "ir/IRPrinter.h"
 #include "regalloc/Allocator.h"
+#include "regalloc/BuildGraph.h"
 #include "regalloc/Coloring.h"
 #include "regalloc/DegreeBuckets.h"
 #include "regalloc/SpillHeap.h"
 #include "support/Rng.h"
 #include "support/ThreadPool.h"
+#include "support/TriangularBitMatrix.h"
+#include "workloads/MegaKernel.h"
 #include "workloads/RandomProgram.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <set>
 #include <string>
 
@@ -109,11 +114,120 @@ TEST(InterferenceGraphCSRTest, AddEdgeAfterFinalizeRebuilds) {
   G.addEdge(0, 1);
   G.finalize();
   EXPECT_EQ(G.neighbors(0).size(), 1u);
-  EXPECT_TRUE(G.addEdge(0, 2));
-  EXPECT_FALSE(G.addEdge(1, 0)); // duplicate, either orientation
+  G.addEdge(0, 2);
+  G.addEdge(1, 0); // duplicate of a packed edge, other orientation
+  EXPECT_EQ(G.numEdges(), 2u);
   EXPECT_EQ(G.degree(0), 2u);
+  EXPECT_EQ(G.degree(1), 1u);
   std::vector<uint32_t> N0(G.neighbors(0).begin(), G.neighbors(0).end());
   EXPECT_EQ(N0, (std::vector<uint32_t>{1, 2}));
+}
+
+using Rows = std::vector<std::vector<uint32_t>>;
+using EdgeStream = std::vector<std::pair<uint32_t, uint32_t>>;
+
+/// Per-node rows as the matrix-guarded addEdge built them: an edge is
+/// kept only the first time TriangularBitMatrix::testAndSet sees it.
+/// The old insertion path, kept as the oracle for the packed rows.
+Rows matrixDedupRows(unsigned NumNodes, const EdgeStream &Edges) {
+  TriangularBitMatrix M(NumNodes);
+  Rows Out(NumNodes);
+  for (auto [A, B] : Edges)
+    if (A != B && M.testAndSet(A, B)) {
+      Out[A].push_back(B);
+      Out[B].push_back(A);
+    }
+  return Out;
+}
+
+void expectRows(const InterferenceGraph &G, const Rows &Want,
+                const std::string &Subject) {
+  ASSERT_EQ(G.numNodes(), Want.size()) << Subject;
+  size_t Endpoints = 0;
+  for (uint32_t N = 0; N < G.numNodes(); ++N) {
+    std::vector<uint32_t> Got(G.neighbors(N).begin(), G.neighbors(N).end());
+    ASSERT_EQ(Got, Want[N]) << Subject << ", node " << N;
+    EXPECT_EQ(G.degree(N), Want[N].size()) << Subject;
+    Endpoints += Want[N].size();
+  }
+  EXPECT_EQ(G.numEdges(), Endpoints / 2) << Subject;
+}
+
+TEST(InterferenceGraphCSRTest, RandomMultigraphsMatchMatrixDedup) {
+  Rng R(20261017);
+  for (unsigned Trial = 0; Trial < 200; ++Trial) {
+    unsigned N = 1 + unsigned(R.nextBelow(60));
+    EdgeStream Edges;
+    for (uint64_t E = 0, EC = R.nextBelow(6 * N); E < EC; ++E) {
+      uint32_t A = uint32_t(R.nextBelow(N));
+      // One edge in four is a self edge; small N makes repeats common.
+      uint32_t B = R.nextBelow(4) == 0 ? A : uint32_t(R.nextBelow(N));
+      Edges.push_back({A, B});
+      if (R.nextBelow(3) == 0)
+        Edges.push_back({B, A}); // an immediate reversed duplicate
+    }
+    // Pack partway, so the rest lands on a compacted edge list.
+    size_t Split = Edges.empty() ? 0 : R.nextBelow(Edges.size());
+    InterferenceGraph G(N);
+    for (size_t E = 0; E < Edges.size(); ++E) {
+      if (E == Split)
+        G.finalize();
+      G.addEdge(Edges[E].first, Edges[E].second);
+    }
+    expectRows(G, matrixDedupRows(N, Edges),
+               "trial " + std::to_string(Trial));
+  }
+}
+
+/// Every interference of \p F per class, in class node ids, duplicates
+/// included, in the order a backward walk from each block's live-out
+/// meets it: a def against each range live after it, except a copy's
+/// source. This is the stream buildInterferenceGraphs feeds addEdge.
+std::array<EdgeStream, NumRegClasses>
+classEdgeStreams(const Function &F, const Liveness &LV,
+                 const std::array<ClassGraph, NumRegClasses> &Graphs) {
+  std::array<EdgeStream, NumRegClasses> Out;
+  for (const BasicBlock &B : F.blocks()) {
+    BitVector Live = LV.liveOut(B.Id);
+    for (auto It = B.Insts.rbegin(); It != B.Insts.rend(); ++It) {
+      if (It->hasDef()) {
+        VRegId D = It->defReg();
+        unsigned Cls = unsigned(F.regClass(D));
+        Live.forEachSetBit([&](unsigned L) {
+          if (L != D && !(It->isCopy() && L == It->Ops[1].Reg) &&
+              unsigned(F.regClass(L)) == Cls)
+            Out[Cls].push_back(
+                {Graphs[Cls].VRegToNode[D], Graphs[Cls].VRegToNode[L]});
+        });
+        Live.reset(D);
+      }
+      It->forEachUse([&](VRegId U) { Live.set(U); });
+    }
+  }
+  return Out;
+}
+
+TEST(InterferenceGraphCSRTest, ClassGraphsMatchMatrixDedup) {
+  std::vector<std::pair<std::string, std::function<Function &(Module &)>>>
+      Subjects;
+  for (const Workload &W : allWorkloads())
+    Subjects.push_back({W.Routine, W.Build});
+  for (const MegaKernel &MK : megaKernelTestFamily())
+    Subjects.push_back({MK.Name, MK.Build});
+  ASSERT_EQ(Subjects.size(), 31u);
+  for (auto &[Name, Build] : Subjects) {
+    Module M;
+    Function &F = Build(M);
+    CFG G = CFG::compute(F);
+    renumberLiveRanges(F, G);
+    Liveness LV = Liveness::compute(F, G);
+    auto Graphs = buildInterferenceGraphs(F, LV);
+    auto Streams = classEdgeStreams(F, LV, Graphs);
+    for (unsigned Cls = 0; Cls < NumRegClasses; ++Cls)
+      expectRows(Graphs[Cls].Graph,
+                 matrixDedupRows(Graphs[Cls].Graph.numNodes(), Streams[Cls]),
+                 Name + " class " + std::to_string(Cls));
+  }
 }
 
 //===--------------------------------------------------------------------===//

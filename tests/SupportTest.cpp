@@ -144,6 +144,21 @@ TEST(TriangularBitMatrixTest, DenseRandomAgainstReference) {
       EXPECT_EQ(M.test(A, B), Ref.count({A, B}) != 0);
 }
 
+TEST(TriangularBitMatrixTest, SizeArithmeticIsSixtyFourBit) {
+  // Sizes only: neither matrix is allocated. In 32-bit unsigned,
+  // 65,537 * 65,536 wraps and the size came out as 32,768 bits.
+  EXPECT_EQ(TriangularBitMatrix::numBits(65537), 2147516416ull);
+  EXPECT_EQ(TriangularBitMatrix::bytesFor(65537), 268439552ull);
+  // 92,682 nodes is the last size BitVector's 32-bit count can hold.
+  EXPECT_EQ(TriangularBitMatrix::MaxNodes, 92682ull);
+  EXPECT_LE(TriangularBitMatrix::numBits(92682), 0xFFFFFFFFull);
+  EXPECT_EQ(TriangularBitMatrix::numBits(92683), 4295022903ull);
+  EXPECT_GT(TriangularBitMatrix::numBits(92683), 0xFFFFFFFFull);
+  EXPECT_EQ(TriangularBitMatrix::numBits(0), 0u);
+  EXPECT_EQ(TriangularBitMatrix::numBits(1), 0u);
+  EXPECT_EQ(TriangularBitMatrix::bytesFor(2), 8u);
+}
+
 TEST(UnionFindTest, BasicMerging) {
   UnionFind UF(6);
   EXPECT_EQ(UF.numSets(), 6u);

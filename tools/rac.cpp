@@ -26,9 +26,9 @@
 //                        functions degrade down the ladder (linear-scan
 //                        retry, then audited spill-everything) instead
 //                        of failing (0 = unbounded, the default)
-//   --mem-budget-mb N    per-function interference-matrix memory budget;
-//                        a would-be over-budget graph is refused before
-//                        allocation and the function degrades (0 =
+//   --mem-budget-mb N    per-function memory budget for coalescing's
+//                        matrix and the interference graphs; a function
+//                        whose charge is refused degrades (0 =
 //                        unbounded, the default)
 //   --audit / --no-audit run the post-allocation audit (default on)
 //   --cache / --no-cache memoize per-function allocations in the

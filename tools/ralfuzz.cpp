@@ -141,7 +141,7 @@ struct ChaosPlan {
   double DeadlineSeconds = 0;    ///< 0, 1ms, 5ms, or 20ms
   uint64_t MemoryBudgetBytes = 0; ///< 0, 256 KB, 1 MB, or 16 MB
   unsigned SlowPhaseMicros = 0;  ///< injected stall per pass top
-  bool GraphMemorySpike = false; ///< +1 GB on the graph estimate
+  bool GraphMemorySpike = false; ///< +1 GB on the graphs' charge
 };
 
 ChaosPlan deriveChaos(uint64_t Seed) {
