@@ -15,6 +15,7 @@
 #include "BenchJson.h"
 #include "regalloc/Coloring.h"
 #include "regalloc/DegreeBuckets.h"
+#include "support/ParseNumber.h"
 #include "support/Rng.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
@@ -23,8 +24,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <future>
+#include <string>
 
 using namespace ra;
 
@@ -165,6 +166,9 @@ ThroughputRun runThroughput(std::vector<InterferenceGraph> &Graphs,
   return R;
 }
 
+/// Ceiling for --graphs: each graph holds ~3000 nodes of adjacency.
+constexpr unsigned MaxGraphs = 4096;
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -173,12 +177,19 @@ int main(int Argc, char **Argv) {
   unsigned NumGraphs = 48, NodesPerGraph = 3000;
   int W = 1;
   for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--jobs") == 0 && I + 1 < Argc)
-      Jobs = unsigned(std::atoi(Argv[++I]));
-    else if (std::strcmp(Argv[I], "--graphs") == 0 && I + 1 < Argc)
-      NumGraphs = unsigned(std::atoi(Argv[++I]));
+    std::string Arg = Argv[I];
+    Status Err;
+    if (Arg == "--jobs" && I + 1 < Argc)
+      Err = parseUnsigned(Argv[++I], Jobs, 0, ThreadPool::MaxThreads);
+    else if (Arg == "--graphs" && I + 1 < Argc)
+      Err = parseUnsigned(Argv[++I], NumGraphs, 1, MaxGraphs);
     else
       Argv[W++] = Argv[I];
+    if (!Err.ok()) {
+      std::fprintf(stderr, "micro_coloring: %s\n",
+                   Err.addContext(Arg).toString().c_str());
+      return 1;
+    }
   }
   Argc = W;
   if (Jobs == 0)

@@ -27,12 +27,13 @@
 #include "BenchJson.h"
 #include "ir/IRPrinter.h"
 #include "service/AllocationService.h"
+#include "support/ParseNumber.h"
+#include "support/ThreadPool.h"
 #include "support/Timer.h"
 #include "workloads/RandomProgram.h"
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,6 +42,9 @@ using namespace ra;
 using namespace ra::service;
 
 namespace {
+
+/// Ceiling for --modules: the corpus is generated and held in memory.
+constexpr unsigned MaxModules = 4096;
 
 void die(const std::string &What) {
   std::fprintf(stderr, "service_throughput: %s\n", What.c_str());
@@ -78,19 +82,21 @@ int main(int Argc, char **Argv) {
   std::string JsonPath = BenchJson::consumeFlag(Argc, Argv);
 
   for (int I = 1; I < Argc; ++I) {
-    if (!std::strcmp(Argv[I], "--clients") && I + 1 < Argc)
-      Clients = unsigned(std::atoi(Argv[++I]));
-    else if (!std::strcmp(Argv[I], "--modules") && I + 1 < Argc)
-      Modules = unsigned(std::atoi(Argv[++I]));
-    else if (!std::strcmp(Argv[I], "--seed") && I + 1 < Argc)
-      Seed = std::strtoull(Argv[++I], nullptr, 10);
-    else if (!std::strcmp(Argv[I], "--min-speedup") && I + 1 < Argc)
-      MinSpeedup = std::atof(Argv[++I]);
+    std::string Arg = Argv[I];
+    Status Err;
+    if (Arg == "--clients" && I + 1 < Argc)
+      Err = parseUnsigned(Argv[++I], Clients, 1, ThreadPool::MaxThreads);
+    else if (Arg == "--modules" && I + 1 < Argc)
+      Err = parseUnsigned(Argv[++I], Modules, 1, MaxModules);
+    else if (Arg == "--seed" && I + 1 < Argc)
+      Err = parseUnsigned(Argv[++I], Seed);
+    else if (Arg == "--min-speedup" && I + 1 < Argc)
+      Err = parseNonNegative(Argv[++I], MinSpeedup);
     else
-      die(std::string("unknown option '") + Argv[I] + "'");
+      die("unknown option '" + Arg + "'");
+    if (!Err.ok())
+      die(Err.addContext(Arg).toString());
   }
-  if (Clients == 0 || Modules == 0)
-    die("--clients and --modules must be positive");
 
   std::printf("== AllocationService throughput: %u modules, %u clients\n",
               Modules, Clients);

@@ -28,18 +28,13 @@ const char *ra::heuristicName(Heuristic H) {
 
 namespace {
 
-/// Removes \p N from the working graph, decrementing live neighbors and
-/// pushing their refreshed cost/degree entries (once \p Spill is active).
+/// Removes \p N from the working graph, decrementing live neighbors.
 void removeNode(const InterferenceGraph &G, DegreeBuckets &Buckets,
-                SpillCandidateHeap &Spill, uint32_t N) {
+                uint32_t N) {
   Buckets.remove(N);
   for (uint32_t M : G.neighbors(N))
-    if (!Buckets.isRemoved(M)) {
+    if (!Buckets.isRemoved(M))
       Buckets.decrementDegree(M);
-      uint32_t D = Buckets.degree(M);
-      if (D > 0) // isolated nodes are never spill candidates
-        Spill.update(G, M, D);
-    }
 }
 
 } // namespace
@@ -85,8 +80,7 @@ ColoringResult ra::colorGraph(const InterferenceGraph &G, unsigned K,
   }
 
   R.RemovalOrder.reserve(N);
-  std::vector<bool> MarkedSpilled(N, false); // Chaitin only
-  SpillCandidateHeap SpillHeap; // built on the first stuck step
+  SpillCandidateHeap SpillHeap;
 
   uint32_t Hint = 0;
   bool InStuckRegion = false;
@@ -110,23 +104,20 @@ ColoringResult ra::colorGraph(const InterferenceGraph &G, unsigned K,
       // Stuck: every remaining node has K or more neighbors. Fall back
       // on Chaitin's estimator (Section 2.3) to choose the node, then
       // either mark it spilled (Chaitin) or push it optimistically
-      // (Briggs). The lazy heap makes selection O(log n) instead of a
-      // rescan of every live node; until the first stuck step it costs
-      // nothing at all.
-      if (!SpillHeap.active())
-        SpillHeap.build(G, Buckets);
-      Chosen = SpillHeap.pick(Buckets);
+      // (Briggs). The heap builds itself on the first stuck step and
+      // re-keys a stale degree only when it pops it, so removeNode
+      // never touches it.
+      Chosen = SpillHeap.pick(G, Buckets);
       if (!StuckPushed.empty())
         StuckPushed[Chosen] = true; // Briggs: optimistic push, tracked
       if (H == Heuristic::Chaitin) {
-        MarkedSpilled[Chosen] = true;
         R.Spilled.push_back(Chosen);
         R.SpilledCost += G.node(Chosen).SpillCost;
         Push = false;
       }
     }
 
-    removeNode(G, Buckets, SpillHeap, Chosen);
+    removeNode(G, Buckets, Chosen);
     if (Push)
       R.RemovalOrder.push_back(Chosen);
     // Matula-Beck's search refinement: removing a node from bucket D

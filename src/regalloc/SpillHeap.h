@@ -9,13 +9,14 @@
 /// minimizing SpillCost / current degree (Section 2.3) — replacing the
 /// O(n) rescan of every live node on every stuck step.
 ///
-/// The heap is *lazy*: entries are never updated in place. The first
-/// stuck step heapifies all live nodes; afterwards every degree
-/// decrement pushes a fresh entry, and selection pops and discards
-/// entries that no longer match the node's current state (removed, or a
-/// stale degree). Degrees only decrease during simplify, so the entry
-/// carrying a node's current degree is always present and any entry
-/// with a mismatched degree is stale by construction.
+/// The heap is *lazy* and re-keyed on pop: the first stuck step
+/// heapifies every live node once, and nothing outside \c pick ever
+/// touches it again. A popped entry whose node was removed is dropped;
+/// one whose stored degree is stale is pushed back at the node's
+/// current degree. Degrees only fall during simplify, so a stored
+/// cost/degree ratio is never above the node's true one: the first
+/// entry popped at its node's current degree beats every other live
+/// node. The heap holds at most one entry per node.
 ///
 /// Ordering is identical to the linear scan it replaces: spillable
 /// nodes beat NoSpill nodes, then lowest cost/degree ratio, then lowest
@@ -41,43 +42,27 @@ namespace ra {
 /// with lazy invalidation against a DegreeBuckets worklist.
 class SpillCandidateHeap {
 public:
-  /// True once \c build has run; until then the owner pays nothing for
-  /// maintaining the heap (the common no-spill allocation never builds).
-  bool active() const { return Active; }
-
-  /// Heapifies every live node at its current degree. O(live nodes).
-  void build(const InterferenceGraph &G, const DegreeBuckets &Buckets) {
-    assert(!Active && "heap already built");
-    Entries.clear();
-    Entries.reserve(Buckets.numLive());
-    for (uint32_t N = 0, E = G.numNodes(); N != E; ++N)
-      if (!Buckets.isRemoved(N))
-        Entries.push_back(makeEntry(G.node(N), N, Buckets.degree(N)));
-    std::make_heap(Entries.begin(), Entries.end(), HeapLess);
-    Active = true;
-  }
-
-  /// Records that live node \p N now has degree \p Degree. O(log n).
-  /// No-op until \c build has run.
-  void update(const InterferenceGraph &G, uint32_t N, uint32_t Degree) {
-    if (!Active)
-      return;
-    Entries.push_back(makeEntry(G.node(N), N, Degree));
-    std::push_heap(Entries.begin(), Entries.end(), HeapLess);
-  }
-
-  /// Pops the best current spill candidate, discarding stale entries.
-  /// The caller must remove the returned node from the graph (its
-  /// entry has been consumed).
-  uint32_t pick(const DegreeBuckets &Buckets) {
-    assert(Active && "pick before build");
+  /// Pops the best spill candidate among \p Buckets' live nodes, every
+  /// one of which must have a nonzero degree. The first call heapifies
+  /// them all — the common no-spill allocation never does. The caller
+  /// must remove the returned node from \p Buckets (its entry has been
+  /// consumed).
+  uint32_t pick(const InterferenceGraph &G, const DegreeBuckets &Buckets) {
+    if (!Built)
+      build(G, Buckets);
+    assert(Entries.size() <= G.numNodes() && "one entry per node at most");
     while (!Entries.empty()) {
       std::pop_heap(Entries.begin(), Entries.end(), HeapLess);
       Entry Top = Entries.back();
       Entries.pop_back();
-      if (!Buckets.isRemoved(Top.Node) &&
-          Buckets.degree(Top.Node) == Top.Degree)
+      if (Buckets.isRemoved(Top.Node))
+        continue;
+      uint32_t Degree = Buckets.degree(Top.Node);
+      if (Degree == Top.Degree)
         return Top.Node;
+      // Stale: re-key at the current degree and keep popping.
+      Entries.push_back(makeEntry(G.node(Top.Node), Top.Node, Degree));
+      std::push_heap(Entries.begin(), Entries.end(), HeapLess);
     }
     assert(false && "no live node to spill");
     return DegreeBuckets::None;
@@ -85,11 +70,22 @@ public:
 
 private:
   struct Entry {
-    double Ratio;    ///< SpillCost / degree-at-push (NoSpill: infinite).
+    double Ratio;    ///< SpillCost / Degree (NoSpill: infinite).
     uint32_t Node;
-    uint32_t Degree; ///< Degree at push time; stale when it disagrees.
+    uint32_t Degree; ///< Degree when keyed; stale when it disagrees.
     bool NoSpill;
   };
+
+  /// Heapifies every live node at its current degree. O(live nodes).
+  void build(const InterferenceGraph &G, const DegreeBuckets &Buckets) {
+    assert(!Built && "heap already built");
+    Entries.reserve(Buckets.numLive());
+    for (uint32_t N = 0, E = G.numNodes(); N != E; ++N)
+      if (!Buckets.isRemoved(N))
+        Entries.push_back(makeEntry(G.node(N), N, Buckets.degree(N)));
+    std::make_heap(Entries.begin(), Entries.end(), HeapLess);
+    Built = true;
+  }
 
   static Entry makeEntry(const IGNode &Node, uint32_t N, uint32_t Degree) {
     assert(Degree > 0 && "stuck with an isolated node");
@@ -115,7 +111,7 @@ private:
   }
 
   std::vector<Entry> Entries;
-  bool Active = false;
+  bool Built = false;
 };
 
 } // namespace ra

@@ -84,6 +84,54 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 //===--------------------------------------------------------------------===//
+// Suite totals: the Figure-5 numbers EXPERIMENTS.md and the benches
+// report, under their configuration (optimizer on, default registers,
+// RT/PC model, audited). A change to any heuristic's choices moves them.
+//===--------------------------------------------------------------------===//
+
+TEST(WorkloadTotals, Figure5SuiteTotalsArePinned) {
+  struct Totals {
+    unsigned Spills = 0;
+    double SpillCost = 0;
+    uint64_t Cycles = 0;
+  };
+  auto RunSuite = [](Heuristic H) {
+    Totals T;
+    for (const Workload &W : allWorkloads()) {
+      Module M;
+      Function &F = W.Build(M);
+      optimizeFunction(F);
+      AllocatorConfig C;
+      C.H = H;
+      C.Audit = true;
+      AllocationResult A = allocateRegisters(F, C);
+      EXPECT_EQ(A.Outcome, AllocOutcome::Converged) << W.Routine;
+      T.Spills += A.Stats.firstPassSpills();
+      T.SpillCost += A.Stats.firstPassSpillCost();
+      if (H != Heuristic::Briggs)
+        continue;
+      Simulator Sim(M, CostModel::rtpc());
+      MemoryImage Mem(M);
+      W.Init(M, Mem);
+      ExecutionResult Run = Sim.runAllocated(F, A, Mem);
+      EXPECT_TRUE(Run.Ok) << W.Routine << ": " << Run.Error;
+      T.Cycles += Run.Cycles;
+    }
+    return T;
+  };
+  ASSERT_EQ(allWorkloads().size(), 28u);
+
+  Totals Briggs = RunSuite(Heuristic::Briggs);
+  EXPECT_EQ(Briggs.Spills, 764u);
+  EXPECT_EQ(Briggs.SpillCost, 414848.0);
+  EXPECT_EQ(Briggs.Cycles, 28579362u);
+
+  Totals Chaitin = RunSuite(Heuristic::Chaitin);
+  EXPECT_EQ(Chaitin.Spills, 776u);
+  EXPECT_EQ(Chaitin.SpillCost, 415576.0);
+}
+
+//===--------------------------------------------------------------------===//
 // Functional references.
 //===--------------------------------------------------------------------===//
 
