@@ -105,7 +105,11 @@ int main(int Argc, char **Argv) {
   for (unsigned I = 0; I < Modules; ++I)
     Corpus[I] = makeModuleSource(Seed + I);
 
-  AllocationService Svc;
+  // The clients supply the concurrency: each request allocates its
+  // functions serially on the client's own thread.
+  ServiceConfig SC;
+  SC.Workers = 1;
+  AllocationService Svc(SC);
 
   // Cold: shard the corpus across the clients; every module allocated
   // exactly once, concurrently. The printed rewritten module is the

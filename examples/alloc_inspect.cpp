@@ -8,7 +8,7 @@
 // interferences, spill choices with names) for one workload routine
 // under each heuristic. Usage:
 //
-//   alloc_inspect [ROUTINE] [--no-opt] [--int K] [--flt K]
+//   alloc_inspect [ROUTINE] [--no-opt] [--int K] [--flt K]   (K in 1..1024)
 //                 [--dump-graph | --dot]
 //
 // --dump-graph lists every interference-graph node with its degree,
@@ -25,13 +25,14 @@
 #include "regalloc/Coalesce.h"
 #include "regalloc/GraphDump.h"
 #include "regalloc/SpillCost.h"
+#include "service/Protocol.h"
 #include "sim/Simulator.h"
+#include "support/ParseNumber.h"
 #include "workloads/Workloads.h"
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <cstdlib>
 
 namespace {
 
@@ -93,6 +94,7 @@ int main(int Argc, char **Argv) {
   bool Dot = false;
   unsigned IntK = 16, FltK = 8;
   for (int I = 1; I < Argc; ++I) {
+    Status Err;
     if (!std::strcmp(Argv[I], "--no-opt"))
       Optimize = false;
     else if (!std::strcmp(Argv[I], "--dump-graph"))
@@ -102,11 +104,17 @@ int main(int Argc, char **Argv) {
       Dot = true;
     }
     else if (!std::strcmp(Argv[I], "--int") && I + 1 < Argc)
-      IntK = unsigned(std::atoi(Argv[++I]));
+      Err = parseUnsigned(Argv[++I], IntK, 1, service::WireConfig::MaxRegs)
+                .addContext("--int");
     else if (!std::strcmp(Argv[I], "--flt") && I + 1 < Argc)
-      FltK = unsigned(std::atoi(Argv[++I]));
+      Err = parseUnsigned(Argv[++I], FltK, 1, service::WireConfig::MaxRegs)
+                .addContext("--flt");
     else
       Routine = Argv[I];
+    if (!Err.ok()) {
+      std::fprintf(stderr, "alloc_inspect: %s\n", Err.toString().c_str());
+      return 1;
+    }
   }
 
   const Workload *W = findWorkload(Routine);

@@ -598,8 +598,8 @@ AllocationResult ra::allocateRegisters(Function &F,
   LoopInfo Loops = LoopInfo::compute(F, G, Doms);
 
   // Per-function resource-governance token. Each function gets its own
-  // (allocateModule shares nothing across workers), so one pathological
-  // sibling can never drain another function's budget.
+  // (nothing is shared across the functions of a module), so one
+  // pathological sibling can never drain another function's budget.
   Budget Token;
   if (C.governed())
     Token.arm(C.DeadlineSeconds, C.MemoryBudgetBytes);

@@ -121,10 +121,6 @@ struct AllocatorConfig {
   /// original spill-everywhere walk — the regression oracle behind
   /// rac's --no-split.
   bool SplitIntervals = true;
-  /// Worker threads for \c allocateModule (functions are independent
-  /// allocation units). 1 = serial; 0 = one per hardware thread. Output
-  /// is bit-identical at any setting.
-  unsigned Jobs = 1;
   /// Run the independent post-allocation audit (AllocationAudit.h) on
   /// every allocation. An audit failure triggers the spill-everything
   /// fallback and a Degraded outcome instead of returning wrong code.
@@ -337,45 +333,6 @@ struct AllocationResult {
 /// than failing. Only \c FaultInjectOptions::ThrowInFunction ever makes
 /// this function throw.
 AllocationResult allocateRegisters(Function &F, const AllocatorConfig &C);
-
-class Module;
-
-/// Result of allocating every function of a module.
-struct ModuleAllocationResult {
-  /// Per-function results, in module function order regardless of the
-  /// order worker threads finished in.
-  std::vector<AllocationResult> Functions;
-  /// Wall-clock seconds for the whole module (all functions, all
-  /// workers) — the denominator of the bench JSON's graphs/sec.
-  double WallSeconds = 0;
-
-  bool allSucceeded() const {
-    for (const AllocationResult &R : Functions)
-      if (!R.Success)
-        return false;
-    return true;
-  }
-
-  /// Functions that fell back to spill-everything.
-  unsigned numDegraded() const {
-    unsigned N = 0;
-    for (const AllocationResult &R : Functions)
-      N += R.Outcome == AllocOutcome::Degraded;
-    return N;
-  }
-};
-
-/// Allocates registers for every function in \p M (mutating them),
-/// farming functions out across \c C.Jobs pool workers. Functions are
-/// independent allocation units, so the result — rewritten functions,
-/// colors, spill decisions — is bit-identical to running
-/// \c allocateRegisters serially in function order.
-///
-/// A worker that throws fails only that function's AllocationResult
-/// (Outcome == Failed, WorkerError status); the exception propagates
-/// through the future and is converted here, so one bad function never
-/// crashes or hangs the whole module.
-ModuleAllocationResult allocateModule(Module &M, const AllocatorConfig &C);
 
 } // namespace ra
 

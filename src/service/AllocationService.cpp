@@ -21,8 +21,9 @@ using namespace ra::service;
 namespace {
 
 /// Converts a worker exception into a Failed result for just that
-/// function — the same contract allocateModule keeps, so routing a
-/// module through the service never changes failure isolation.
+/// function. std::packaged_task stores anything the task throws in its
+/// future, so \c Get rethrows here on the collecting thread — one
+/// throwing function must not crash or hang the whole module.
 template <typename GetT>
 AllocationResult collectOne(const Function &F, const AllocatorConfig &C,
                             GetT Get) {
@@ -64,6 +65,9 @@ AllocationService::AllocationService(const ServiceConfig &SC)
 
 ServiceReply AllocationService::run(const ServiceRequest &R) {
   Requests.fetch_add(1, std::memory_order_relaxed);
+  RA_TRACE_SPAN("ServiceRequest", "service", [&] {
+    return "bytes=" + std::to_string(R.Source.size());
+  });
   ServiceReply Reply;
   Reply.M = std::make_unique<Module>();
 
@@ -101,8 +105,12 @@ void AllocationService::allocateParsed(Module &M, const AllocatorConfig &C,
 
   Timer Wall;
   Wall.start();
-  RA_TRACE_SPAN("ServiceRequest", "service", [&] {
-    return "functions=" + std::to_string(N);
+  // Scheduling events go in the "sched" category: they describe how work
+  // landed on workers, which varies with the pool width, so normalizedLog
+  // drops them while trace viewers still show the fan-out.
+  RA_TRACE_SPAN("ModuleAlloc", "sched", [&] {
+    return "functions=" + std::to_string(N) +
+           ";jobs=" + std::to_string(Pool.numThreads());
   });
 
   const bool Cacheable =
@@ -128,31 +136,34 @@ void AllocationService::allocateParsed(Module &M, const AllocatorConfig &C,
     Misses.push_back(I);
   }
 
-  // Phase 2: allocate the misses, sharding across the service pool.
-  // Collection stays in function order, so output is bit-identical at
-  // any pool width (the same argument allocateModule makes).
-  if (!Misses.empty()) {
-    const unsigned Jobs = ThreadPool::resolveJobs(C.Jobs);
-    const unsigned Width = std::min<unsigned>(Pool.numThreads(), Jobs);
-    if (Width <= 1 || Misses.size() <= 1) {
-      for (unsigned I : Misses) {
-        Function &F = M.function(I);
-        MA.Functions[I] = collectOne(
-            F, C, [&] { return allocateMiss(F, C, Optimize); });
-      }
-    } else {
-      std::vector<std::future<AllocationResult>> Pending;
-      Pending.reserve(Misses.size());
-      for (unsigned I : Misses) {
-        Function &F = M.function(I);
-        Pending.push_back(Pool.submit(
-            [&F, &C, Optimize] {
-              return allocateMiss(F, C, Optimize);
-            }));
-      }
-      for (size_t J = 0; J < Misses.size(); ++J)
-        MA.Functions[Misses[J]] = collectOne(
-            M.function(Misses[J]), C, [&] { return Pending[J].get(); });
+  // Phase 2: allocate the misses — on this thread when there is nothing
+  // to overlap, otherwise on the shared pool. Each function is an
+  // independent allocation unit (allocateRegisters mutates only its own
+  // Function; the module's arrays and function table are read-only), and
+  // results are collected in function order, so the output is
+  // bit-identical at any pool width.
+  if (Pool.numThreads() <= 1 || Misses.size() <= 1) {
+    for (unsigned I : Misses) {
+      Function &F = M.function(I);
+      MA.Functions[I] =
+          collectOne(F, C, [&] { return allocateMiss(F, C, Optimize); });
+    }
+  } else {
+    std::vector<std::future<AllocationResult>> Pending;
+    Pending.reserve(Misses.size());
+    for (unsigned I : Misses) {
+      Function &F = M.function(I);
+      if (trace::enabled())
+        RA_TRACE_INSTANT("TaskQueued", "sched", "@" + F.name());
+      Pending.push_back(Pool.submit(
+          [&F, &C, Optimize] { return allocateMiss(F, C, Optimize); }));
+    }
+    for (size_t J = 0; J < Misses.size(); ++J) {
+      Function &F = M.function(Misses[J]);
+      RA_TRACE_SPAN("CollectFunction", "sched",
+                    [&] { return "@" + F.name(); });
+      MA.Functions[Misses[J]] =
+          collectOne(F, C, [&] { return Pending[J].get(); });
     }
   }
 

@@ -17,9 +17,13 @@
 ///    byte-identical to the cold run and skipping renumber/build/
 ///    simplify/select/spill/audit entirely;
 ///  * a MISS allocates on the shared pool (function order preserved,
-///    worker exceptions converted to per-function WorkerError results
-///    exactly like allocateModule) and, when the result Converged under
-///    a cacheable config, inserts it for the next request.
+///    a worker exception converted to a WorkerError result for just its
+///    function) and, when the result Converged under a cacheable config,
+///    inserts it for the next request.
+///
+/// This is the only place a module's functions reach worker threads:
+/// the allocator layer below is single-threaded per function, and the
+/// pool width (ServiceConfig::Workers) is the one parallelism knob.
 ///
 /// Only Converged results are memoized: Degraded outcomes depend on
 /// when a deadline tripped, which is wall-clock state, not content.
@@ -52,8 +56,35 @@ struct ServiceConfig {
   bool CacheEnabled = true;
   uint64_t CacheMaxEntries = 1u << 16; ///< 0 = unbounded.
   uint64_t CacheMaxBytes = 256ull << 20; ///< 0 = unbounded.
-  /// Pool width for miss allocation; 0 = one per hardware thread.
+  /// Pool width for miss allocation; 0 = one per hardware thread, 1 =
+  /// every request allocates serially on its calling thread. Output is
+  /// bit-identical at any width.
   unsigned Workers = 0;
+};
+
+/// Result of allocating every function of a module.
+struct ModuleAllocationResult {
+  /// Per-function results, in module function order regardless of the
+  /// order worker threads finished in.
+  std::vector<AllocationResult> Functions;
+  /// Wall-clock seconds for the whole module (all functions, all
+  /// workers) — the denominator of the bench JSON's graphs/sec.
+  double WallSeconds = 0;
+
+  bool allSucceeded() const {
+    for (const AllocationResult &R : Functions)
+      if (!R.Success)
+        return false;
+    return true;
+  }
+
+  /// Functions that fell back to spill-everything.
+  unsigned numDegraded() const {
+    unsigned N = 0;
+    for (const AllocationResult &R : Functions)
+      N += R.Outcome == AllocOutcome::Degraded;
+    return N;
+  }
 };
 
 /// One allocation request: a textual IR module plus the per-request
@@ -98,6 +129,12 @@ public:
   /// The module-level core for callers that already hold a parsed,
   /// verified module: optimizes + allocates every function of \p M in
   /// place, filling \p MA and the per-function \p CacheHit flags.
+  /// Cache misses run on the calling thread when the pool has one worker
+  /// or at most one function missed; otherwise they fan out across the
+  /// pool. Either way the result is bit-identical to allocating each
+  /// function serially in module order, and a function whose allocation
+  /// throws comes back Failed with a WorkerError status while its
+  /// siblings allocate normally.
   void allocateParsed(Module &M, const AllocatorConfig &C, bool Optimize,
                       bool UseCache, ModuleAllocationResult &MA,
                       std::vector<uint8_t> &CacheHit);

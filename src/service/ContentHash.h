@@ -23,13 +23,12 @@
 /// byte-identical sources, where the printed form is exactly stable.
 /// ServiceTest pins this contract in both directions.
 ///
-/// Jobs, the one config field that is a pure performance knob, is
-/// excluded: it is proven byte-identical elsewhere (the 1-vs-N
-/// determinism tests), so keying on it would only split the cache. Deadline and memory budgets are
-/// excluded too: only Converged results are ever inserted
-/// (AllocationService), and a governed run that converges is
-/// byte-identical to the ungoverned run by construction — budget
-/// polling can abort work, never steer it.
+/// Deadline and memory budgets are excluded: only Converged results are
+/// ever inserted (AllocationService), and a governed run that converges
+/// is byte-identical to the ungoverned run by construction — budget
+/// polling can abort work, never steer it. The service's pool width is
+/// not part of AllocatorConfig at all: output is bit-identical at any
+/// width (the 1-vs-N determinism tests).
 ///
 //===----------------------------------------------------------------------===//
 

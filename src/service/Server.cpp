@@ -8,11 +8,11 @@
 
 #include "ir/IRPrinter.h"
 
+#include <atomic>
 #include <cerrno>
 #include <cstring>
-#include <mutex>
+#include <list>
 #include <thread>
-#include <vector>
 
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -21,7 +21,11 @@
 using namespace ra;
 using namespace ra::service;
 
-RacdServer::~RacdServer() { closeListener(); }
+RacdServer::~RacdServer() {
+  if (ListenFd >= 0)
+    ::close(ListenFd);
+  removeSocketFile();
+}
 
 //===--------------------------------------------------------------------===//
 // Frame dispatch.
@@ -45,9 +49,6 @@ bool RacdServer::handleFrame(MsgType T, const std::string &Payload,
     R.Source = std::move(Req.Source);
     R.Optimize = Req.Config.Optimize;
     R.UseCache = Req.Config.UseCache;
-    // Each connection allocates serially within its request; concurrency
-    // comes from concurrent connections sharing the service pool.
-    R.Alloc.Jobs = 0;
 
     ServiceReply Reply = Svc.run(R);
 
@@ -193,8 +194,16 @@ Status RacdServer::acceptLoop() {
   if (ListenFd < 0)
     return Status::error(StatusCode::InvalidInput,
                          "acceptLoop called before listenUnix");
-  std::vector<std::thread> Conns;
-  std::mutex ConnsMu;
+  // One entry per connection thread that has not been joined yet. A
+  // thread sets Done as its last act, and the loop joins finished
+  // entries before each new connection: an exited thread that is never
+  // joined keeps its stack mapped, so a long-running daemon would
+  // otherwise hold one stack per connection it ever served.
+  struct Conn {
+    std::thread T;
+    std::atomic<bool> Done{false};
+  };
+  std::list<Conn> Conns;
   while (!stopRequested()) {
     int Fd = ::accept(ListenFd, nullptr, nullptr);
     if (Fd < 0) {
@@ -205,21 +214,28 @@ Status RacdServer::acceptLoop() {
       Status S = Status::error(StatusCode::IoError,
                                std::string("accept: ") +
                                    std::strerror(errno));
-      closeListener();
+      removeSocketFile();
       return S;
     }
-    std::lock_guard<std::mutex> Lock(ConnsMu);
-    Conns.emplace_back([this, Fd] {
+    Conns.remove_if([](Conn &C) {
+      if (!C.Done.load(std::memory_order_acquire))
+        return false;
+      C.T.join();
+      return true;
+    });
+    Conn &C = Conns.emplace_back();
+    C.T = std::thread([this, Fd, &C] {
       (void)serveStream(Fd, Fd);
       ::close(Fd);
+      C.Done.store(true, std::memory_order_release);
     });
   }
   // A Shutdown frame stops the listener from a connection thread that
   // is itself in Conns — join after the accept loop exits, when no new
   // connections can appear.
-  for (std::thread &T : Conns)
-    T.join();
-  closeListener();
+  for (Conn &C : Conns)
+    C.T.join();
+  removeSocketFile();
   return Status();
 }
 
@@ -229,11 +245,7 @@ void RacdServer::requestStop() {
     ::shutdown(ListenFd, SHUT_RDWR); // wakes the blocking accept()
 }
 
-void RacdServer::closeListener() {
-  if (ListenFd >= 0) {
-    ::close(ListenFd);
-    ListenFd = -1;
-  }
+void RacdServer::removeSocketFile() {
   if (!SockPath.empty()) {
     ::unlink(SockPath.c_str());
     SockPath.clear();

@@ -52,8 +52,9 @@ public:
   Status listenUnix(const std::string &Path);
 
   /// Accepts connections until a Shutdown frame or requestStop(),
-  /// running each connection on its own thread; joins every connection
-  /// thread and removes the socket file before returning.
+  /// running each connection on its own thread. Threads of closed
+  /// connections are joined as later connections arrive; the rest are
+  /// joined, and the socket file removed, before returning.
   Status acceptLoop();
 
   /// Wakes acceptLoop() and marks the server stopping. Safe from any
@@ -71,11 +72,14 @@ public:
   }
 
 private:
-  void closeListener();
+  void removeSocketFile();
 
   AllocationService &Svc;
   std::atomic<bool> Stop{false};
   std::atomic<uint64_t> AllocFrames{0};
+  /// Set by listenUnix and closed only by the destructor, so
+  /// requestStop can shut it down from any thread while acceptLoop runs
+  /// or after it returns.
   int ListenFd = -1;
   std::string SockPath;
 };

@@ -22,8 +22,7 @@ ThreadPool::ThreadPool(unsigned NumThreads) {
   Workers.reserve(N);
   for (unsigned I = 0; I < N; ++I)
     Workers.emplace_back([this, I] {
-      if (trace::enabled())
-        trace::setCurrentThreadName("pool-worker-" + std::to_string(I));
+      trace::setCurrentThreadName("pool-worker-" + std::to_string(I));
       workerLoop();
     });
 }

@@ -8,8 +8,8 @@
 // the thread's first record of each session. Appends after registration
 // take no lock — a stream is written by exactly one thread, and
 // endSession only reads streams after flipping Enabled off, by which
-// point the coordinating caller has joined or drained its workers (the
-// allocator's pools never outlive the call that spawned them).
+// point the coordinating caller has collected every task it submitted
+// (a pool task records all of its events before its future is ready).
 //
 //===----------------------------------------------------------------------===//
 
@@ -49,6 +49,7 @@ struct LocalSlot {
   uint64_t Generation = ~uint64_t(0);
   Stream *S = nullptr;
   std::string Context;
+  std::string Name; ///< setCurrentThreadName; leads each session's stream.
 };
 
 LocalSlot &localSlot() {
@@ -63,6 +64,15 @@ Stream &currentStream() {
     std::lock_guard<std::mutex> Lock(R.Mutex);
     auto S = std::make_unique<Stream>();
     S->Tid = uint32_t(R.Streams.size());
+    if (!Slot.Name.empty()) {
+      Event E;
+      E.Kind = EventKind::ThreadName;
+      E.Name = "thread_name";
+      E.Category = "__metadata";
+      E.Detail = Slot.Name;
+      E.Tid = S->Tid;
+      S->Events.push_back(std::move(E));
+    }
     Slot.S = S.get();
     Slot.Generation = R.Generation;
     R.Streams.push_back(std::move(S));
@@ -124,12 +134,5 @@ SessionLog ra::trace::endSession() {
 }
 
 void ra::trace::setCurrentThreadName(const std::string &Name) {
-  if (!enabled())
-    return;
-  Event E;
-  E.Kind = EventKind::ThreadName;
-  E.Name = "thread_name";
-  E.Category = "__metadata";
-  E.Detail = Name;
-  detail::record(std::move(E));
+  localSlot().Name = Name;
 }

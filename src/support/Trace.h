@@ -129,7 +129,10 @@ inline void instant(const char *Name, const char *Category,
   detail::record(std::move(E));
 }
 
-/// Names the calling thread in trace viewers ("pool-worker-3").
+/// Names the calling thread in trace viewers ("pool-worker-3"). The name
+/// leads the thread's events in every session the thread records into,
+/// so a long-lived thread named before a session began is still named
+/// in it. Call it before the thread records anything.
 void setCurrentThreadName(const std::string &Name);
 
 /// RAII phase span. Opens on construction (when a session is active)

@@ -15,6 +15,7 @@
 #include "ir/Verifier.h"
 #include "regalloc/AllocationAudit.h"
 #include "regalloc/Allocator.h"
+#include "service/AllocationService.h"
 #include "sim/Simulator.h"
 #include "workloads/RandomProgram.h"
 #include "workloads/Workloads.h"
@@ -214,7 +215,13 @@ TEST(AuditTest, DegradedFunctionsReportedThroughModuleAllocation) {
   AllocatorConfig C;
   C.Machine = MachineInfo(6, 4);
   C.FaultInject.NonConvergence = true; // every function degrades
-  ModuleAllocationResult R = allocateModule(M, C);
+  service::ServiceConfig SC;
+  SC.CacheEnabled = false;
+  SC.Workers = 1;
+  service::AllocationService Svc(SC);
+  service::ModuleAllocationResult R;
+  std::vector<uint8_t> Hits;
+  Svc.allocateParsed(M, C, /*Optimize=*/false, /*UseCache=*/false, R, Hits);
   ASSERT_EQ(R.Functions.size(), M.numFunctions());
   EXPECT_TRUE(R.allSucceeded());
   EXPECT_EQ(R.numDegraded(), M.numFunctions());

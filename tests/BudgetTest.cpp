@@ -22,6 +22,7 @@
 #include "ir/IRPrinter.h"
 #include "regalloc/AllocationAudit.h"
 #include "regalloc/Allocator.h"
+#include "service/AllocationService.h"
 #include "sim/Simulator.h"
 #include "support/Budget.h"
 #include "support/TriangularBitMatrix.h"
@@ -273,9 +274,14 @@ TEST(AllocatorBudgetTest, ModuleUnderTinyBudgetsNeverFails) {
     buildRandomProgram(M, 9000 + S);
   AllocatorConfig C;
   C.Audit = true;
-  C.Jobs = 2;
   C.DeadlineSeconds = 1e-5;
-  ModuleAllocationResult R = allocateModule(M, C);
+  service::ServiceConfig SC;
+  SC.CacheEnabled = false;
+  SC.Workers = 2;
+  service::AllocationService Svc(SC);
+  service::ModuleAllocationResult R;
+  std::vector<uint8_t> Hits;
+  Svc.allocateParsed(M, C, /*Optimize=*/false, /*UseCache=*/false, R, Hits);
   ASSERT_EQ(R.Functions.size(), M.numFunctions());
   for (unsigned I = 0; I < M.numFunctions(); ++I) {
     const AllocationResult &A = R.Functions[I];

@@ -4,10 +4,11 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The parallel-allocation contract: any worker count produces output
-// bit-identical to serial allocation, and the O(log n) heap-based spill
-// candidate selection picks the exact node sequence the old O(n) linear
-// rescan picked.
+// The parallel-allocation contract: a module allocated through
+// AllocationService::allocateParsed at any pool width is bit-identical
+// to serial allocation, and the O(log n) heap-based spill candidate
+// selection picks the exact node sequence the old O(n) linear rescan
+// picked.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,7 @@
 #include "regalloc/Coloring.h"
 #include "regalloc/DegreeBuckets.h"
 #include "regalloc/SpillHeap.h"
+#include "service/AllocationService.h"
 #include "support/Rng.h"
 #include "support/ThreadPool.h"
 #include "support/TriangularBitMatrix.h"
@@ -33,6 +35,7 @@
 #include <string>
 
 using namespace ra;
+using service::ModuleAllocationResult;
 
 namespace {
 
@@ -366,8 +369,22 @@ TEST(SpillHeapTest, ColorGraphUnchangedByHeapPicker) {
 }
 
 //===--------------------------------------------------------------------===//
-// allocateModule: parallel output is bit-identical to serial.
+// Module allocation: pooled output is bit-identical to serial.
 //===--------------------------------------------------------------------===//
+
+/// Allocates every function of \p M, unoptimized, through a cache-off
+/// service whose pool has \p Workers threads.
+ModuleAllocationResult allocateOnPool(Module &M, const AllocatorConfig &C,
+                                      unsigned Workers) {
+  service::ServiceConfig SC;
+  SC.CacheEnabled = false;
+  SC.Workers = Workers;
+  service::AllocationService Svc(SC);
+  ModuleAllocationResult R;
+  std::vector<uint8_t> Hits;
+  Svc.allocateParsed(M, C, /*Optimize=*/false, /*UseCache=*/false, R, Hits);
+  return R;
+}
 
 /// Builds the determinism workload: a module of random functions plus
 /// real routines, deterministic for a fixed \p Salt.
@@ -391,10 +408,11 @@ struct ModuleSnapshot {
   }
 };
 
-ModuleSnapshot allocateSnapshot(uint64_t Salt, const AllocatorConfig &C) {
+ModuleSnapshot allocateSnapshot(uint64_t Salt, const AllocatorConfig &C,
+                                unsigned Workers) {
   Module M;
   buildWorkloadModule(M, Salt);
-  ModuleAllocationResult R = allocateModule(M, C);
+  ModuleAllocationResult R = allocateOnPool(M, C, Workers);
   ModuleSnapshot S;
   S.Success = R.allSucceeded();
   for (unsigned I = 0; I < M.numFunctions(); ++I) {
@@ -412,26 +430,23 @@ ModuleSnapshot allocateSnapshot(uint64_t Salt, const AllocatorConfig &C) {
 TEST(AllocateModuleTest, ParallelIsBitIdenticalToSerial) {
   AllocatorConfig C;
   C.Machine = MachineInfo(8, 6); // tight enough to force spills
-  C.Jobs = 1;
-  ModuleSnapshot Serial = allocateSnapshot(5000, C);
+  ModuleSnapshot Serial = allocateSnapshot(5000, C, 1);
   ASSERT_TRUE(Serial.Success);
   bool SawSpill = false;
   for (const auto &Names : Serial.SpilledNames)
     SawSpill |= !Names.empty();
   EXPECT_TRUE(SawSpill) << "workload spilled nothing; weak test";
 
-  for (unsigned Jobs : {2u, 4u, 7u}) {
-    C.Jobs = Jobs;
-    ModuleSnapshot Parallel = allocateSnapshot(5000, C);
-    EXPECT_TRUE(Serial == Parallel) << "jobs=" << Jobs;
+  for (unsigned Workers : {2u, 4u, 7u}) {
+    ModuleSnapshot Parallel = allocateSnapshot(5000, C, Workers);
+    EXPECT_TRUE(Serial == Parallel) << "workers=" << Workers;
   }
 }
 
 TEST(AllocateModuleTest, MatchesPerFunctionAllocateRegisters) {
   AllocatorConfig C;
   C.Machine = MachineInfo(7, 5);
-  C.Jobs = 3;
-  ModuleSnapshot Pooled = allocateSnapshot(9000, C);
+  ModuleSnapshot Pooled = allocateSnapshot(9000, C, 3);
 
   Module M;
   buildWorkloadModule(M, 9000);
@@ -448,31 +463,30 @@ TEST(AllocateModuleTest, WorkerExceptionFailsOnlyThatFunction) {
   // A function whose allocation throws must come back as one Failed
   // result with a worker-error diagnostic; every other function of the
   // module still allocates, under both the serial and the pooled path.
-  for (unsigned Jobs : {1u, 4u}) {
+  for (unsigned Workers : {1u, 4u}) {
     Module M;
     buildWorkloadModule(M, 5000);
     ASSERT_GE(M.numFunctions(), 2u);
     const std::string Victim = M.function(1).name();
 
     AllocatorConfig C;
-    C.Jobs = Jobs;
     C.FaultInject.ThrowInFunction = Victim;
-    ModuleAllocationResult R = allocateModule(M, C);
+    ModuleAllocationResult R = allocateOnPool(M, C, Workers);
     ASSERT_EQ(R.Functions.size(), M.numFunctions());
     EXPECT_FALSE(R.allSucceeded());
 
     for (unsigned I = 0; I < M.numFunctions(); ++I) {
       const AllocationResult &A = R.Functions[I];
       if (M.function(I).name() == Victim) {
-        EXPECT_FALSE(A.Success) << "jobs=" << Jobs;
+        EXPECT_FALSE(A.Success) << "workers=" << Workers;
         EXPECT_EQ(A.Outcome, AllocOutcome::Failed);
         EXPECT_EQ(A.Diag.code(), StatusCode::WorkerError);
         EXPECT_NE(A.Diag.toString().find(Victim), std::string::npos)
             << A.Diag.toString();
       } else {
         EXPECT_TRUE(A.Success)
-            << "jobs=" << Jobs << " @" << M.function(I).name() << ": "
-            << A.Diag.toString();
+            << "workers=" << Workers << " @" << M.function(I).name()
+            << ": " << A.Diag.toString();
       }
     }
   }
@@ -484,8 +498,12 @@ TEST(AllocateModuleTest, WorkerExceptionDoesNotPoisonSiblingBudgets) {
   // come back Failed/WorkerError; every sibling must still produce a
   // usable (Converged or Degraded) allocation with its *own* budget
   // telemetry — a worker's death must not leak pool threads or latch a
-  // sibling's budget token. Running the whole thing twice in one
-  // process proves the pool survives.
+  // sibling's budget token. Running the whole thing twice on one
+  // service proves its pool survives.
+  service::ServiceConfig SC;
+  SC.CacheEnabled = false;
+  SC.Workers = 4;
+  service::AllocationService Svc(SC);
   for (int Round = 0; Round < 2; ++Round) {
     Module M;
     buildWorkloadModule(M, 7000);
@@ -493,11 +511,13 @@ TEST(AllocateModuleTest, WorkerExceptionDoesNotPoisonSiblingBudgets) {
     const std::string Victim = M.function(2).name();
 
     AllocatorConfig C;
-    C.Jobs = 4;
     C.DeadlineSeconds = 30;                 // generous: must not trip
     C.MemoryBudgetBytes = 1ull << 30;
     C.FaultInject.ThrowInFunction = Victim;
-    ModuleAllocationResult R = allocateModule(M, C);
+    ModuleAllocationResult R;
+    std::vector<uint8_t> Hits;
+    Svc.allocateParsed(M, C, /*Optimize=*/false, /*UseCache=*/false, R,
+                       Hits);
     ASSERT_EQ(R.Functions.size(), M.numFunctions());
 
     for (unsigned I = 0; I < M.numFunctions(); ++I) {

@@ -416,16 +416,10 @@ TEST(ContentHashTest, PurePerformanceKnobsDoNotChangeTheKey) {
                                   Heuristic::Briggs);
   const std::string Base = canonicalFunctionKey(M, M.function(0), C, true);
 
-  // Jobs is proven byte-identical elsewhere (ParallelAlloc); keying on
-  // it would shatter the cache across equivalent configurations.
+  // Governance limits are excluded: only Converged results are cached,
+  // and a converged run under a deadline is identical to the unbounded
+  // run by construction.
   AllocatorConfig C2 = C;
-  C2.Jobs = 16;
-  EXPECT_EQ(Base, canonicalFunctionKey(M, M.function(0), C2, true));
-
-  // Governance limits are excluded too: only Converged results are
-  // cached, and a converged run under a deadline is identical to the
-  // unbounded run by construction.
-  C2 = C;
   C2.DeadlineSeconds = 5;
   C2.MemoryBudgetBytes = 1ull << 30;
   EXPECT_EQ(Base, canonicalFunctionKey(M, M.function(0), C2, true));

@@ -16,7 +16,9 @@
 
 #include "ir/IRParser.h"
 #include "regalloc/Allocator.h"
+#include "service/AllocationService.h"
 #include "support/Status.h"
+#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <gtest/gtest.h>
@@ -26,6 +28,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <future>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -82,9 +86,10 @@ std::string maskVolatile(std::string S) {
   return S;
 }
 
-/// Parses the canned golden input and allocates it under a session,
-/// returning the collected log (and the metrics CSV when requested).
-trace::SessionLog tracedAllocation(unsigned Jobs,
+/// Parses the canned golden input and allocates it under a session on a
+/// cache-off service with \p Workers pool threads, returning the
+/// collected log (and the metrics CSV when requested).
+trace::SessionLog tracedAllocation(unsigned Workers,
                                    std::string *MetricsCsv = nullptr) {
   bool Ok = false;
   std::string Input = readFile(testsDir() + "/golden/trace_input.ral", Ok);
@@ -96,12 +101,17 @@ trace::SessionLog tracedAllocation(unsigned Jobs,
 
   AllocatorConfig C;
   C.Machine = MachineInfo(4, 2); // tight: the canned loop must spill
-  C.Jobs = Jobs;
   C.Audit = true; // pin the AllocationAudit span independent of RA_AUDIT
   C.CollectMetrics = MetricsCsv != nullptr;
 
+  service::ServiceConfig SC;
+  SC.CacheEnabled = false;
+  SC.Workers = Workers;
+  service::AllocationService Svc(SC);
+  service::ModuleAllocationResult MA;
+  std::vector<uint8_t> Hits;
   trace::beginSession();
-  ModuleAllocationResult MA = allocateModule(M, C);
+  Svc.allocateParsed(M, C, /*Optimize=*/false, /*UseCache=*/false, MA, Hits);
   trace::SessionLog Log = trace::endSession();
 
   for (const AllocationResult &A : MA.Functions)
@@ -200,6 +210,32 @@ TEST(Trace, CountersAggregateAcrossThreads) {
   EXPECT_EQ(Log.Events.size(), 400u);
 }
 
+TEST(Trace, PoolWorkersStartedBeforeASessionAreNamedInIt) {
+  // A long-lived pool (the allocation service's) starts its workers
+  // before any session: each worker's name must still lead its events
+  // in every later session, and in no session where it recorded nothing.
+  ThreadPool Pool(2);
+  for (int Session = 0; Session < 2; ++Session) {
+    trace::beginSession();
+    std::vector<std::future<void>> Pending;
+    for (int I = 0; I < 8; ++I)
+      Pending.push_back(Pool.submit([] { RA_TRACE_INSTANT("Work", "test"); }));
+    for (std::future<void> &F : Pending)
+      F.get();
+    trace::SessionLog Log = trace::endSession();
+    std::set<uint32_t> Recording, Named;
+    for (const trace::Event &E : Log.Events) {
+      if (E.Kind == trace::EventKind::ThreadName) {
+        EXPECT_EQ(E.Detail.rfind("pool-worker-", 0), 0u) << E.Detail;
+        EXPECT_TRUE(Named.insert(E.Tid).second) << "named twice";
+      } else {
+        Recording.insert(E.Tid);
+      }
+    }
+    EXPECT_EQ(Named, Recording) << "session " << Session;
+  }
+}
+
 TEST(Trace, ScopedContextNestsAndRestores) {
   trace::beginSession();
   EXPECT_EQ(trace::ScopedContext::current(), "");
@@ -236,7 +272,7 @@ TEST(Trace, SpanCloseIsIdempotent) {
 //===--------------------------------------------------------------------===//
 
 TEST(Trace, PipelineEmitsAllPhaseSpans) {
-  trace::SessionLog Log = tracedAllocation(/*Jobs=*/1);
+  trace::SessionLog Log = tracedAllocation(/*Workers=*/1);
   auto HasSpan = [&](const char *Name) {
     for (const trace::Event &E : Log.Events)
       if (E.Kind == trace::EventKind::Span && !std::strcmp(E.Name, Name))
@@ -261,7 +297,7 @@ TEST(Trace, NormalizedLogIdenticalAtAnyJobCount) {
 }
 
 TEST(Trace, EventsCarryFunctionContext) {
-  trace::SessionLog Log = tracedAllocation(/*Jobs=*/2);
+  trace::SessionLog Log = tracedAllocation(/*Workers=*/2);
   bool SawHot = false, SawTiny = false;
   for (const trace::Event &E : Log.Events) {
     if (E.Ctx == "@hot")
@@ -279,18 +315,18 @@ TEST(Trace, EventsCarryFunctionContext) {
 
 TEST(TraceGolden, NormalizedLogMatchesGolden) {
   compareGolden("trace_normalized.golden",
-                trace::normalizedLog(tracedAllocation(/*Jobs=*/1)));
+                trace::normalizedLog(tracedAllocation(/*Workers=*/1)));
 }
 
 TEST(TraceGolden, ChromeJsonMatchesGoldenModuloVolatileFields) {
-  std::string Json = trace::toChromeJson(tracedAllocation(/*Jobs=*/1));
+  std::string Json = trace::toChromeJson(tracedAllocation(/*Workers=*/1));
   EXPECT_NE(Json.find("\"traceEvents\":["), std::string::npos);
   compareGolden("trace_chrome.golden", maskVolatile(Json));
 }
 
 TEST(TraceGolden, MetricsCsvMatchesGolden) {
   std::string Csv;
-  (void)tracedAllocation(/*Jobs=*/1, &Csv);
+  (void)tracedAllocation(/*Workers=*/1, &Csv);
   compareGolden("metrics.golden", Csv);
 }
 

@@ -79,6 +79,7 @@
 
 using namespace ra;
 using service::AllocationService;
+using service::ModuleAllocationResult;
 using service::ServiceConfig;
 using service::ServiceReply;
 using service::ServiceRequest;
@@ -107,7 +108,7 @@ void report(const std::string &Path, const Status &S) {
 
 struct Options {
   WireConfig Cfg;          ///< Allocator flags shared with racc.
-  AllocatorConfig Alloc;   ///< Cfg resolved, plus --jobs and --metrics.
+  AllocatorConfig Alloc;   ///< Cfg resolved, plus --metrics.
   bool Run = false, Quiet = false;
   std::string TracePath;   ///< --trace: Chrome trace JSON output.
   std::string MetricsPath; ///< --metrics: per-range CSV output.
@@ -233,6 +234,10 @@ int main(int Argc, char **Argv) {
   std::vector<std::string> Paths;
   std::string JsonPath = BenchJson::consumeFlag(Argc, Argv);
   Options Opt;
+  // --jobs is the service's pool width; rac allocates serially unless
+  // asked otherwise.
+  ServiceConfig SC;
+  SC.Workers = 1;
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
@@ -240,8 +245,7 @@ int main(int Argc, char **Argv) {
     if (Opt.Cfg.parseFlag(Argc, Argv, I, Err)) {
       // an allocator flag; Err reports a bad value
     } else if (Arg == "--jobs" && I + 1 < Argc) {
-      Err = parseUnsigned(Argv[++I], Opt.Alloc.Jobs, 0,
-                          ThreadPool::MaxThreads)
+      Err = parseUnsigned(Argv[++I], SC.Workers, 0, ThreadPool::MaxThreads)
                 .addContext(Arg);
     } else if (Arg == "--run") {
       Opt.Run = true;
@@ -283,9 +287,7 @@ int main(int Argc, char **Argv) {
   // One service instance spans the whole batch, so a function repeated
   // across input files (or files repeated on the command line) is
   // allocated once and served from the cache after that.
-  ServiceConfig SC;
   SC.CacheEnabled = Opt.Cfg.UseCache;
-  SC.Workers = Opt.Alloc.Jobs;
   AllocationService Svc(SC);
 
   Telemetry T;
@@ -335,7 +337,7 @@ int main(int Argc, char **Argv) {
     J.set("allocator", std::string(allocatorName(Opt.Alloc.B, Opt.Alloc.H)));
     J.set("backend", std::string(backendName(Opt.Alloc.B)));
     J.set("heuristic", std::string(heuristicName(Opt.Alloc.H)));
-    J.set("jobs", Opt.Alloc.Jobs);
+    J.set("jobs", SC.Workers);
     J.set("functions", T.Functions);
     J.set("wall_seconds", T.Wall);
     J.set("graphs_colored", T.Graphs);

@@ -671,11 +671,15 @@ int main(int Argc, char **Argv) {
                  "always fail)\n");
     return 1;
   }
-  // One service (one cache, one pool) across the whole campaign — the
-  // same sharing a long-lived racd would exhibit.
+  // One service (one cache) across the whole campaign — the same
+  // sharing a long-lived racd would exhibit. Requests allocate serially
+  // on the campaign thread.
   std::optional<ra::service::AllocationService> Svc;
-  if (Service)
-    Svc.emplace();
+  if (Service) {
+    ra::service::ServiceConfig SC;
+    SC.Workers = 1;
+    Svc.emplace(SC);
+  }
 
   uint64_t Trials = 0, Skipped = 0;
 
