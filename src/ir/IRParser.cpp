@@ -7,6 +7,7 @@
 #include "ir/IRParser.h"
 
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <optional>
@@ -239,6 +240,12 @@ private:
     int64_t Size = take().IntValue;
     if (Size < 0)
       return fail("negative array size");
+    if (Size > int64_t(UINT32_MAX))
+      return fail("array size does not fit in 32 bits");
+    ArrayElements += uint64_t(Size);
+    if (ArrayElements > MaxArrayElements)
+      return fail("arrays total more than " +
+                  std::to_string(MaxArrayElements) + " elements");
     if (!expectPunct(']'))
       return false;
     if (M.findArray(Name) != ~0u)
@@ -590,6 +597,7 @@ private:
   Module &M;
   std::string &Error;
   size_t Pos = 0;
+  uint64_t ArrayElements = 0; ///< Declared so far, all arrays.
 
   Function *F = nullptr;
   std::map<std::string, VRegId> RegsByName;

@@ -423,8 +423,8 @@ AllocationResult overBudget(AllocationResult Result, Budget &Gov,
 /// and a NonConvergence diagnostic, but performs no auditing or
 /// fallback — allocateRegisters layers those on top.
 ///
-/// With a governed \p Gov: coalescing charges each round's matrix
-/// before building it, the coloring step charges its graphs once built,
+/// With a governed \p Gov: each coalescing round and the coloring step
+/// charge their interference graphs once built,
 /// every long loop polls the token, and phase boundaries force a
 /// deadline check, so a trip surfaces as a Failed over-budget result
 /// within one phase of the expiry.

@@ -135,10 +135,9 @@ struct AllocatorConfig {
   /// Failed. rac's --deadline-ms.
   double DeadlineSeconds = 0;
   /// Byte ceiling per function for governed allocations (0 =
-  /// unbounded): coalescing's O(N^2)-bit matrix, charged before it is
-  /// built, and the class interference graphs, charged at their real
-  /// size once built. Same ladder as the deadline. rac's
-  /// --mem-budget-mb.
+  /// unbounded): the interference graphs of each coalescing round and
+  /// of coloring, charged at their real size once built. Same ladder as
+  /// the deadline. rac's --mem-budget-mb.
   uint64_t MemoryBudgetBytes = 0;
 
   /// True when either resource limit is armed.

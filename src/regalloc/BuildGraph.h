@@ -12,7 +12,9 @@
 ///
 /// Integer and floating-point registers live in disjoint files on the
 /// target, so one graph is built per register class, each with a dense
-/// node numbering and a mapping back to vreg ids.
+/// node numbering and a mapping back to vreg ids. The same builder
+/// serves coloring (every vreg) and coalescing (the operands of its
+/// candidate copies), so interference is held one way: adjacency.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +23,6 @@
 
 #include "analysis/Liveness.h"
 #include "regalloc/InterferenceGraph.h"
-#include "support/TriangularBitMatrix.h"
 
 #include <array>
 
@@ -38,31 +39,25 @@ struct ClassGraph {
   std::vector<uint32_t> VRegToNode; ///< vreg id -> node id or ~0u
 };
 
-/// Builds per-class interference graphs for \p F. Spill costs on the
-/// nodes are left zero; callers fill them via \c setNodeCosts.
+/// Builds per-class interference graphs for \p F over every vreg, or,
+/// when \p LV was solved over \p Only, over that subset's members in
+/// member order. Spill costs on the nodes are left zero; callers fill
+/// them via \c setNodeCosts. Only the every-vreg build is traced as a
+/// BuildGraph span.
 ///
 /// \p Gov, when non-null, is polled once per block during the
 /// interference walk; a tripped budget stops the build early (the
 /// graphs are then partial — callers must check the token and discard
-/// them before coloring).
+/// them before using them).
 std::array<ClassGraph, NumRegClasses>
 buildInterferenceGraphs(const Function &F, const Liveness &LV,
-                        Budget *Gov = nullptr);
+                        Budget *Gov = nullptr,
+                        const VRegSubset *Only = nullptr);
 
 /// Copies \p Costs (per vreg) onto the graph nodes and marks spill
 /// temporaries NoSpill.
 void setNodeCosts(const Function &F, const std::vector<double> &Costs,
                   ClassGraph &CG);
-
-/// Builds an interference matrix for the coalescer's O(1) tests: over
-/// all vregs of both classes (only same-class pairs are ever set), or,
-/// when \p LV was solved over \p Only, over that subset's bits. When
-/// \p Degree is non-null it receives each node's same-class degree,
-/// counted as edges are first set.
-TriangularBitMatrix
-buildInterferenceMatrix(const Function &F, const Liveness &LV,
-                        const VRegSubset *Only = nullptr,
-                        std::vector<uint32_t> *Degree = nullptr);
 
 } // namespace ra
 

@@ -26,7 +26,7 @@ unsigned ra::coalesceOnePass(Function &F, const CFG &G,
            F.regClass(I.Ops[0].Reg) == F.regClass(I.Ops[1].Reg);
   };
   // Aggressive merging asks only whether a copy's two operands
-  // interfere, so liveness and the matrix cover just those operands. The
+  // interfere, so liveness and the graphs cover just those operands. The
   // conservative test also needs every neighbor's degree: all vregs.
   bool Conservative = Policy == CoalescePolicy::Conservative;
   VRegSubset Only(F.numVRegs());
@@ -45,49 +45,52 @@ unsigned ra::coalesceOnePass(Function &F, const CFG &G,
   if (Conservative)
     for (VRegId R = 0; R < F.numVRegs(); ++R)
       Only.add(R);
-  // A matrix past MaxNodes cannot be indexed, so it is neither charged
-  // nor built. A refused charge latches Gov, which also ends the
-  // fixpoint at coalesceAll's next checkpoint.
-  bool Fits = Only.size() <= TriangularBitMatrix::MaxNodes;
-  ScopedCharge Charge(Fits ? Gov : nullptr,
-                      TriangularBitMatrix::bytesFor(Only.size()));
-  if (!Fits || !Charge.granted()) {
-    if (Stats)
-      ++Stats->MatricesRefused;
-    return 0;
-  }
-  if (Stats)
-    Stats->MatrixNodes = std::max(Stats->MatrixNodes, Only.size());
 
   assert((!Conservative || Machine) &&
          "conservative coalescing needs register counts");
+  // The build is not polled: a partial graph would merge interfering
+  // copies. Its bytes are charged once built, as the class graphs' are;
+  // a refused charge latches Gov, which also ends the fixpoint at
+  // coalesceAll's next checkpoint.
   Liveness LV = Liveness::compute(F, G, &Only);
-  std::vector<uint32_t> Degree;
-  TriangularBitMatrix Matrix = buildInterferenceMatrix(
-      F, LV, &Only, Conservative ? &Degree : nullptr);
+  std::array<ClassGraph, NumRegClasses> Graphs =
+      buildInterferenceGraphs(F, LV, /*Gov=*/nullptr, &Only);
+  uint64_t Bytes = 0;
+  for (const ClassGraph &CG : Graphs)
+    Bytes += CG.Graph.memoryBytes();
+  ScopedCharge Charge(Gov, Bytes);
+  if (!Charge.granted())
+    return 0;
+  if (Stats)
+    Stats->GraphNodes = std::max(Stats->GraphNodes, Only.size());
 
   // Briggs' test: the merged node is safe if it has fewer than k
   // neighbors whose own degree is >= k (low-degree neighbors can always
-  // be simplified away first).
-  auto ConservativelySafe = [&](uint32_t D, uint32_t S) {
-    unsigned K = Machine->numRegs(F.regClass(Only.vregOf(D)));
+  // be simplified away first). Stamp[N] == Query marks N as already
+  // counted, so a neighbor of both operands counts once.
+  std::vector<uint32_t> Stamp(Conservative ? Only.size() : 0, 0);
+  uint32_t Query = 0;
+  auto ConservativelySafe = [&](const ClassGraph &CG, uint32_t D,
+                                uint32_t S) {
+    unsigned K = Machine->numRegs(CG.Class);
+    ++Query;
+    Stamp[D] = Stamp[S] = Query;
     unsigned Significant = 0;
-    for (uint32_t N = 0; N < Only.size(); ++N) {
-      if (N == D || N == S)
-        continue;
-      if (!Matrix.test(N, D) && !Matrix.test(N, S))
-        continue;
-      // Merging may drop this neighbor's degree by one (it loses a
-      // double edge); use the pre-merge degree as the safe upper bound.
-      if (Degree[N] >= K)
-        ++Significant;
-    }
+    for (uint32_t End : {D, S})
+      for (uint32_t N : CG.Graph.neighbors(End))
+        if (Stamp[N] != Query) {
+          Stamp[N] = Query;
+          // Merging may drop this neighbor's degree by one (it loses a
+          // double edge); use the pre-merge degree as the safe upper
+          // bound.
+          Significant += CG.Graph.degree(N) >= K;
+        }
     return Significant < K;
   };
 
   UnionFind UF(F.numVRegs());
   // Interference info goes stale for registers already merged this pass;
-  // copies touching them wait for the next round's rebuilt matrix.
+  // copies touching them wait for the next round's rebuilt graphs.
   std::vector<bool> Touched(F.numVRegs(), false);
   unsigned Merged = 0;
 
@@ -98,10 +101,11 @@ unsigned ra::coalesceOnePass(Function &F, const CFG &G,
       VRegId D = I.Ops[0].Reg, S = I.Ops[1].Reg;
       if (Touched[D] || Touched[S])
         continue;
-      uint32_t BD = Only.bitOf(D), BS = Only.bitOf(S);
-      if (Matrix.test(BD, BS))
+      const ClassGraph &CG = Graphs[static_cast<unsigned>(F.regClass(D))];
+      uint32_t ND = CG.VRegToNode[D], NS = CG.VRegToNode[S];
+      if (CG.Graph.interferes(ND, NS))
         continue;
-      if (Conservative && !ConservativelySafe(BD, BS))
+      if (Conservative && !ConservativelySafe(CG, ND, NS))
         continue;
       unsigned Root = UF.unite(D, S);
       if (Stats) {

@@ -9,7 +9,10 @@
 /// not interfere is eliminated by merging the two live ranges. The
 /// paper's build phase runs "repeatedly building the graph and
 /// coalescing registers" until no copy can be merged; \c coalesceAll
-/// drives that loop.
+/// drives that loop. Each round tests interference on the same CSR
+/// class graphs that coloring uses (BuildGraph.h), built over just the
+/// candidate copies' operands, so conservative coalescing works at any
+/// function size.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,27 +50,26 @@ struct CoalescedCopy {
 struct CoalesceStats {
   unsigned CopiesRemoved = 0; ///< Copies eliminated by merging.
   unsigned Rounds = 0;        ///< Build+merge rounds until fixpoint.
-  /// Nodes in the largest interference matrix any round built: the
+  /// Nodes in the largest interference graphs any round built: the
   /// operands of that round's candidate copies (every vreg under the
-  /// Conservative policy); 0 when no round had a candidate.
-  unsigned MatrixNodes = 0;
-  /// Rounds that merged nothing because their matrix was refused: past
-  /// TriangularBitMatrix::MaxNodes nodes, or by the budget.
-  unsigned MatricesRefused = 0;
+  /// Conservative policy); 0 when no round had a candidate or its
+  /// graphs' charge was refused.
+  unsigned GraphNodes = 0;
   /// Every merge in decision order — feeds the per-range metrics
   /// table's Coalesced rows.
   std::vector<CoalescedCopy> Merges;
 };
 
-/// Runs one build+merge round: builds the interference matrix over the
+/// Runs one build+merge round: builds the interference graphs over the
 /// candidate copies' operands (same class, distinct registers), merges
 /// every coalescable copy whose operands were not already touched by a
 /// merge this round, rewrites operands, and deletes the dead copies. A
 /// function with no candidate returns before solving liveness. Returns
 /// the number of copies removed; when \p Stats is non-null, appends one
-/// CoalescedCopy per merge to its Merges and raises its MatrixNodes. For
+/// CoalescedCopy per merge to its Merges and raises its GraphNodes. For
 /// the Conservative policy, \p Machine supplies the per-class k. \p Gov
-/// is charged for the matrix before it is built.
+/// is charged for the graphs once they are built; a refused charge
+/// merges nothing.
 unsigned coalesceOnePass(Function &F, const CFG &G,
                          CoalescePolicy Policy = CoalescePolicy::Aggressive,
                          const std::optional<MachineInfo> &Machine = {},

@@ -7,9 +7,10 @@
 /// \file
 /// The interference graph: nodes are live ranges, edges connect live
 /// ranges that are simultaneously live. Chaitin [CACC 81] also keeps a
-/// triangular bit matrix for membership tests; nothing here queries the
-/// class graph's membership (coalescing builds its own subset matrix),
-/// so the graph is adjacency alone: O(N + E) bytes instead of N^2/8.
+/// triangular bit matrix for membership tests. Here the only membership
+/// queries are coalescing's, one per candidate copy, and a scan of the
+/// shorter row answers them, so the graph is adjacency alone: O(N + E)
+/// bytes instead of N^2/8, at any node count.
 ///
 /// Adjacency is stored in CSR (compressed sparse row) form: \c addEdge
 /// appends to a flat edge list, duplicates included, and a
@@ -29,6 +30,7 @@
 #include <limits>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ra {
@@ -83,8 +85,10 @@ public:
     CSRValid = false;
   }
 
-  /// O(degree) scan of A's row.
+  /// O(min degree) scan of the shorter of the two rows.
   bool interferes(unsigned A, unsigned B) const {
+    if (degree(A) > degree(B))
+      std::swap(A, B);
     std::span<const uint32_t> Row = neighbors(A);
     return std::find(Row.begin(), Row.end(), B) != Row.end();
   }

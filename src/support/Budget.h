@@ -12,11 +12,10 @@
 /// Instead, every long-running loop polls `checkpoint()` — an amortized
 /// check that touches the clock only every 64th call — and backs out at
 /// the next IR-safe boundary when the token has tripped. Memory is
-/// governed by charges: a quadratic allocation (coalescing's triangular
-/// bit matrix) asks `tryCharge()` before it is built, so a would-be OOM
-/// is refused before any bytes are committed; linear-size structures
-/// (the class interference graphs) charge their real size once built.
-/// Either refusal latches the token and feeds the degradation ladder.
+/// governed by charges: the interference graphs, coalescing's and
+/// coloring's, are linear in size and charge their real bytes through
+/// `tryCharge()` once built. A refusal latches the token and feeds the
+/// degradation ladder.
 ///
 /// Tripping is *latched*: once either resource is exhausted the token
 /// stays exhausted (every subsequent checkpoint answers instantly)

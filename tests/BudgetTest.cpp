@@ -12,8 +12,8 @@
 //  * a deadline trip mid-coloring retries under linear scan and then
 //    spill-everything — the function always comes back usable
 //    (Degraded), audited, with a Status naming the exhausted resource;
-//  * a memory budget refuses coalescing's matrix before it is built,
-//    and the class graphs once their real size is known;
+//  * a memory budget refuses the interference graphs, coalescing's and
+//    coloring's, once their real size is known;
 //  * governance off (the default) and governance with generous limits
 //    are byte-identical to each other.
 //
@@ -25,7 +25,6 @@
 #include "service/AllocationService.h"
 #include "sim/Simulator.h"
 #include "support/Budget.h"
-#include "support/TriangularBitMatrix.h"
 #include "workloads/MegaKernel.h"
 #include "workloads/RandomProgram.h"
 
@@ -300,15 +299,9 @@ TEST(AllocatorBudgetTest, ModuleUnderTinyBudgetsNeverFails) {
 // Capacity estimation.
 //===--------------------------------------------------------------------===//
 
-TEST(CapacityTest, EstimateBytesScalesQuadratically) {
-  // The quadratic term is coalescing's matrix; the class graph's
-  // up-front cost is its node arrays, linear in the node count.
-  EXPECT_EQ(TriangularBitMatrix::bytesFor(0), 0u);
-  // 50k nodes: the triangular bit matrix is ~156 MB.
-  EXPECT_GT(TriangularBitMatrix::bytesFor(50000), 156000000ull);
-  EXPECT_LT(TriangularBitMatrix::bytesFor(50000), 157000000ull);
-  EXPECT_GT(TriangularBitMatrix::bytesFor(2000),
-            3 * TriangularBitMatrix::bytesFor(1000));
+TEST(CapacityTest, EstimateBytesScalesLinearly) {
+  // A graph's up-front cost is its node arrays, linear in the node
+  // count; no interference structure is quadratic.
   EXPECT_EQ(InterferenceGraph::estimateBytes(0), 0u);
   EXPECT_EQ(InterferenceGraph::estimateBytes(2000),
             2 * InterferenceGraph::estimateBytes(1000));

@@ -10,9 +10,10 @@
 // ranges had (mapped onto the surviving root), copies whose operands
 // interfere must never be merged, the Briggs conservative test must
 // refuse merges that would create a significant-degree node, the
-// matrix over just the copies' operands must answer exactly as the
-// all-vreg one, and a matrix that cannot be indexed or afforded is
-// refused instead of built.
+// graphs over just the copies' operands must answer exactly as the
+// all-vreg class graphs, conservative coalescing works past the size a
+// bit matrix could index, and graphs that cannot be afforded merge
+// nothing.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +26,6 @@
 #include "regalloc/Coalesce.h"
 #include "sim/Simulator.h"
 #include "support/Budget.h"
-#include "support/TriangularBitMatrix.h"
 #include "workloads/MegaKernel.h"
 #include "workloads/RandomProgram.h"
 #include "workloads/Workloads.h"
@@ -39,6 +39,17 @@
 using namespace ra;
 
 namespace {
+
+using ClassGraphs = std::array<ClassGraph, NumRegClasses>;
+
+/// True iff vregs \p X and \p Y interfere in \p Graphs.
+bool interferes(const Function &F, const ClassGraphs &Graphs, VRegId X,
+                VRegId Y) {
+  if (F.regClass(X) != F.regClass(Y))
+    return false;
+  const ClassGraph &CG = Graphs[unsigned(F.regClass(X))];
+  return CG.Graph.interferes(CG.VRegToNode[X], CG.VRegToNode[Y]);
+}
 
 unsigned countCopies(const Function &F) {
   unsigned N = 0;
@@ -154,7 +165,8 @@ TEST(CoalesceTest, MergePreservesEveryInterferenceOfBothRanges) {
   // Interference before, keyed by name so the check survives the merge.
   CFG G = CFG::compute(F);
   Liveness Before = Liveness::compute(F, G);
-  TriangularBitMatrix MBefore = buildInterferenceMatrix(F, Before);
+  ClassGraphs GBefore = buildInterferenceGraphs(F, Before);
+  unsigned NumBefore = F.numVRegs();
   std::map<std::string, VRegId> IdOf;
   for (VRegId R = 0; R < F.numVRegs(); ++R)
     IdOf[F.vreg(R).Name] = R;
@@ -175,16 +187,16 @@ TEST(CoalesceTest, MergePreservesEveryInterferenceOfBothRanges) {
   };
 
   Liveness After = Liveness::compute(F, G);
-  TriangularBitMatrix MAfter = buildInterferenceMatrix(F, After);
-  for (VRegId X = 0; X < MBefore.numNodes(); ++X)
-    for (VRegId Y = X + 1; Y < MBefore.numNodes(); ++Y) {
-      if (!MBefore.test(X, Y))
+  ClassGraphs GAfter = buildInterferenceGraphs(F, After);
+  for (VRegId X = 0; X < NumBefore; ++X)
+    for (VRegId Y = X + 1; Y < NumBefore; ++Y) {
+      if (!interferes(F, GBefore, X, Y))
         continue;
       VRegId RX = IdOf.at(Root(F.vreg(X).Name));
       VRegId RY = IdOf.at(Root(F.vreg(Y).Name));
       ASSERT_NE(RX, RY) << "interfering ranges " << F.vreg(X).Name
                         << " and " << F.vreg(Y).Name << " were merged";
-      EXPECT_TRUE(MAfter.test(RX, RY))
+      EXPECT_TRUE(interferes(F, GAfter, RX, RY))
           << "interference " << F.vreg(X).Name << " -- " << F.vreg(Y).Name
           << " lost by coalescing";
     }
@@ -268,27 +280,57 @@ TEST(CoalesceTest, ConservativeRefusesSignificantDegreeMerge) {
   EXPECT_EQ(countCopies(FC), 1u);
 }
 
+TEST(CoalesceTest, ConservativeCountsASharedNeighborOnce) {
+  // n interferes with both s and d, and is their only neighbor, of
+  // degree 2 = k. The merged node has one significant neighbor, not
+  // two, so Briggs' test must allow the merge.
+  Module M;
+  Function &F = M.newFunction("f");
+  IRBuilder B(M, F);
+  B.setInsertPoint(B.newBlock("entry"));
+  VRegId N = F.newVReg(RegClass::Int, "n");
+  B.movI(1, N);
+  VRegId S = F.newVReg(RegClass::Int, "s");
+  B.movI(3, S);
+  VRegId D = F.newVReg(RegClass::Int, "d");
+  B.copy(S, D); // s's last use: no s -- d edge
+  B.ret(B.add(N, D));
+
+  CFG G = CFG::compute(F);
+  CoalesceStats St =
+      coalesceAll(F, G, CoalescePolicy::Conservative, MachineInfo(2, 2));
+  EXPECT_EQ(St.CopiesRemoved, 1u);
+  EXPECT_EQ(countCopies(F), 0u);
+}
+
 //===--------------------------------------------------------------------===//
-// The matrix over candidate copy operands.
+// The graphs over candidate copy operands.
 //===--------------------------------------------------------------------===//
 
 /// Checks, round by round until coalescing settles, that liveness and
-/// the matrix over \p F's candidate copy operands answer every pair of
-/// them exactly as the all-vreg matrix does, and that the degrees the
-/// builder counts match a scan of the full matrix.
-void expectSubsetMatrixMatchesFull(Function &F, const std::string &Label) {
+/// the graphs over \p F's candidate copy operands answer every pair of
+/// them exactly as the all-vreg class graphs do, with each member's
+/// degree counting just its interfering members, and that the graphs
+/// over every vreg (the Conservative policy's subset) repeat the class
+/// graphs row for row, so Briggs' test reads the same degrees.
+void expectSubsetGraphsMatchFull(Function &F, const std::string &Label) {
   CFG G = CFG::compute(F);
   renumberLiveRanges(F, G);
   do {
     Liveness Full = Liveness::compute(F, G);
-    std::vector<uint32_t> Degree;
-    TriangularBitMatrix MFull =
-        buildInterferenceMatrix(F, Full, nullptr, &Degree);
-    for (VRegId A = 0; A < F.numVRegs(); ++A) {
-      uint32_t Scanned = 0;
-      for (VRegId B = 0; B < F.numVRegs(); ++B)
-        Scanned += MFull.test(A, B);
-      ASSERT_EQ(Degree[A], Scanned) << Label << ": degree of " << A;
+    ClassGraphs GFull = buildInterferenceGraphs(F, Full);
+
+    VRegSubset All(F.numVRegs());
+    for (VRegId R = 0; R < F.numVRegs(); ++R)
+      All.add(R);
+    Liveness AllLV = Liveness::compute(F, G, &All);
+    ClassGraphs GAll = buildInterferenceGraphs(F, AllLV, nullptr, &All);
+    for (unsigned Cls = 0; Cls < NumRegClasses; ++Cls) {
+      const InterferenceGraph &A = GAll[Cls].Graph, &B = GFull[Cls].Graph;
+      ASSERT_EQ(GAll[Cls].NodeToVReg, GFull[Cls].NodeToVReg) << Label;
+      for (uint32_t N = 0; N < A.numNodes(); ++N)
+        ASSERT_TRUE(std::ranges::equal(A.neighbors(N), B.neighbors(N)))
+            << Label << ": row of " << F.vreg(GAll[Cls].NodeToVReg[N]).Name;
     }
 
     VRegSubset Only(F.numVRegs());
@@ -300,14 +342,24 @@ void expectSubsetMatrixMatchesFull(Function &F, const std::string &Label) {
           Only.add(I.Ops[1].Reg);
         }
     Liveness Sub = Liveness::compute(F, G, &Only);
-    TriangularBitMatrix MSub = buildInterferenceMatrix(F, Sub, &Only);
-    ASSERT_EQ(MSub.numNodes(), Only.size()) << Label;
-    for (uint32_t X = 0; X < Only.size(); ++X)
-      for (uint32_t Y = 0; Y < Only.size(); ++Y)
-        ASSERT_EQ(MSub.test(X, Y),
-                  MFull.test(Only.vregOf(X), Only.vregOf(Y)))
-            << Label << ": " << F.vreg(Only.vregOf(X)).Name << " -- "
-            << F.vreg(Only.vregOf(Y)).Name;
+    ClassGraphs GSub = buildInterferenceGraphs(F, Sub, nullptr, &Only);
+    ASSERT_EQ(GSub[0].Graph.numNodes() + GSub[1].Graph.numNodes(),
+              Only.size())
+        << Label;
+    for (uint32_t X = 0; X < Only.size(); ++X) {
+      VRegId RX = Only.vregOf(X);
+      unsigned Members = 0;
+      for (uint32_t Y = 0; Y < Only.size(); ++Y) {
+        VRegId RY = Only.vregOf(Y);
+        bool Want = interferes(F, GFull, RX, RY);
+        ASSERT_EQ(interferes(F, GSub, RX, RY), Want)
+            << Label << ": " << F.vreg(RX).Name << " -- " << F.vreg(RY).Name;
+        Members += Want;
+      }
+      const ClassGraph &CG = GSub[unsigned(F.regClass(RX))];
+      ASSERT_EQ(CG.Graph.degree(CG.VRegToNode[RX]), Members)
+          << Label << ": degree of " << F.vreg(RX).Name;
+    }
   } while (coalesceOnePass(F, G) != 0);
 }
 
@@ -328,21 +380,21 @@ TEST(CoalesceTest, SubsetMatrixMatchesFullOnCorpus) {
         readFile(std::string(RA_TESTS_DIR) + "/corpus/" + Name), M, Error))
         << Name << ": " << Error;
     for (unsigned I = 0; I < M.numFunctions(); ++I)
-      expectSubsetMatrixMatchesFull(M.function(I), Name);
+      expectSubsetGraphsMatchFull(M.function(I), Name);
   }
 }
 
 TEST(CoalesceTest, SubsetMatrixMatchesFullOnFigure5Routines) {
   for (const Workload &W : allWorkloads()) {
     Module M;
-    expectSubsetMatrixMatchesFull(W.Build(M), W.Routine);
+    expectSubsetGraphsMatchFull(W.Build(M), W.Routine);
   }
 }
 
 TEST(CoalesceTest, SubsetMatrixMatchesFullOnRandomPrograms) {
   for (uint64_t Seed = 0; Seed < 200; ++Seed) {
     Module M;
-    expectSubsetMatrixMatchesFull(buildRandomProgram(M, Seed),
+    expectSubsetGraphsMatchFull(buildRandomProgram(M, Seed),
                                   "random seed " + std::to_string(Seed));
   }
 }
@@ -361,7 +413,7 @@ TEST(CoalesceTest, CopyFreeRoundBuildsNoMatrix) {
        {CoalescePolicy::Aggressive, CoalescePolicy::Conservative}) {
     CoalesceStats S;
     EXPECT_EQ(coalesceOnePass(F, G, P, MachineInfo(2, 2), &S), 0u);
-    EXPECT_EQ(S.MatrixNodes, 0u);
+    EXPECT_EQ(S.GraphNodes, 0u);
   }
 }
 
@@ -377,11 +429,11 @@ TEST(CoalesceTest, MatrixCoversOnlyCopyOperandsOnMegaKernels) {
     unsigned Copies = countCopies(F);
     CoalesceStats S = coalesceAll(F, G);
     if (MK.Kind == "random") {
-      EXPECT_GT(S.MatrixNodes, 0u) << MK.Name;
-      EXPECT_LE(S.MatrixNodes, 2 * Copies) << MK.Name;
-      EXPECT_LT(S.MatrixNodes, F.numVRegs()) << MK.Name;
+      EXPECT_GT(S.GraphNodes, 0u) << MK.Name;
+      EXPECT_LE(S.GraphNodes, 2 * Copies) << MK.Name;
+      EXPECT_LT(S.GraphNodes, F.numVRegs()) << MK.Name;
     } else {
-      EXPECT_EQ(S.MatrixNodes, 0u) << MK.Name;
+      EXPECT_EQ(S.GraphNodes, 0u) << MK.Name;
     }
   }
 }
@@ -397,35 +449,51 @@ Function &buildOneCopy(Module &M) {
   return F;
 }
 
-TEST(CoalesceTest, MatrixPastMaxNodesIsRefusedNotBuilt) {
-  // Conservative coalescing spans every vreg; one past MaxNodes cannot
-  // be indexed by a 32-bit BitVector, so the round merges nothing.
+TEST(CoalesceTest, ConservativeMergesAtAnyFunctionSize) {
+  // Conservative coalescing spans every vreg. A triangular bit matrix
+  // over more than 92,682 nodes cannot be indexed in 32 bits; the
+  // graphs have no such limit.
   Module M;
   Function &F = buildOneCopy(M);
-  while (F.numVRegs() <= TriangularBitMatrix::MaxNodes)
+  while (F.numVRegs() <= 92683)
     F.newVReg(RegClass::Int);
-  unsigned CopiesBefore = countCopies(F);
+  unsigned VRegs = F.numVRegs();
   CFG G = CFG::compute(F);
   CoalesceStats S =
       coalesceAll(F, G, CoalescePolicy::Conservative, MachineInfo(2, 2));
-  EXPECT_EQ(S.CopiesRemoved, 0u);
-  EXPECT_EQ(S.MatricesRefused, 1u);
-  EXPECT_EQ(S.MatrixNodes, 0u);
-  EXPECT_EQ(countCopies(F), CopiesBefore);
+  EXPECT_EQ(S.CopiesRemoved, 1u);
+  EXPECT_EQ(S.GraphNodes, VRegs);
+  EXPECT_EQ(countCopies(F), 0u);
+  EXPECT_TRUE(verifyFunction(M, F).empty());
 }
 
 TEST(CoalesceTest, GovernedRoundChargesItsMatrixFirst) {
   {
-    // Granted: the matrix is charged while the round holds it.
+    // Granted: the graphs' real bytes are charged while the round holds
+    // them, and released when it ends.
     Module M;
     Function &F = buildOneCopy(M);
     CFG G = CFG::compute(F);
+    VRegSubset Only(F.numVRegs());
+    for (const BasicBlock &B : F.blocks())
+      for (const Instruction &I : B.Insts)
+        if (I.isCopy()) {
+          Only.add(I.Ops[0].Reg);
+          Only.add(I.Ops[1].Reg);
+        }
+    Liveness LV = Liveness::compute(F, G, &Only);
+    uint64_t Bytes = 0;
+    for (const ClassGraph &CG :
+         buildInterferenceGraphs(F, LV, nullptr, &Only))
+      Bytes += CG.Graph.memoryBytes();
+    ASSERT_GT(Bytes, 0u);
+
     Budget Gov;
     Gov.arm(0, 1 << 20);
     CoalesceStats S = coalesceAll(F, G, CoalescePolicy::Aggressive, {}, &Gov);
     EXPECT_EQ(S.CopiesRemoved, 1u);
-    EXPECT_EQ(S.MatricesRefused, 0u);
-    EXPECT_EQ(Gov.peakBytes(), TriangularBitMatrix::bytesFor(2));
+    EXPECT_EQ(S.GraphNodes, 2u);
+    EXPECT_EQ(Gov.peakBytes(), Bytes);
     EXPECT_EQ(Gov.currentBytes(), 0u);
   }
   {
@@ -437,8 +505,9 @@ TEST(CoalesceTest, GovernedRoundChargesItsMatrixFirst) {
     Gov.arm(0, 1);
     CoalesceStats S = coalesceAll(F, G, CoalescePolicy::Aggressive, {}, &Gov);
     EXPECT_EQ(S.CopiesRemoved, 0u);
-    EXPECT_EQ(S.MatricesRefused, 1u);
+    EXPECT_EQ(S.GraphNodes, 0u);
     EXPECT_EQ(countCopies(F), 1u);
+    EXPECT_EQ(Gov.currentBytes(), 0u);
     EXPECT_TRUE(Gov.exhausted());
     EXPECT_EQ(Gov.status().code(), StatusCode::MemoryBudgetExceeded);
   }

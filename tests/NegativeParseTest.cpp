@@ -40,6 +40,19 @@ const ParseCase ParseCases[] = {
      "line 2: expected 'array' or 'func'"},
     {"NegativeArraySize", "module {\n  array @a : int[-4]\n}\n",
      "line 2: negative array size"},
+    // A size past 32 bits must not wrap (4,294,967,300 would read as 4).
+    // Parsing allocates no array, so these sizes are safe to try.
+    {"ArraySizePast32Bits", "module {\n  array @a : int[4294967300]\n}\n",
+     "line 2: array size does not fit in 32 bits"},
+    {"ArraySizePastInt64",
+     "module {\n  array @a : int[99999999999999999999]\n}\n",
+     "line 2: array size does not fit in 32 bits"},
+    {"ArrayPastSimulatorMemory",
+     "module {\n  array @a : int[4000000000]\n}\n",
+     "line 2: arrays total more than 134217728 elements"},
+    {"ArraysTogetherPastSimulatorMemory",
+     "module {\n  array @a : flt[134217727]\n  array @b : int[2]\n}\n",
+     "line 3: arrays total more than 134217728 elements"},
     {"BadRegisterClass", "module {\n  array @a : bool[4]\n}\n",
      "line 2: expected register class 'int' or 'flt'"},
     {"DuplicateArray",
@@ -113,6 +126,17 @@ TEST_P(NegativeParse, RejectsWithExactDiagnostic) {
 
 INSTANTIATE_TEST_SUITE_P(Table, NegativeParse, ::testing::ValuesIn(ParseCases),
                          [](const auto &Info) { return Info.param.Name; });
+
+TEST(NegativeParseLimits, ArraysAtTheElementCapStillParse) {
+  // The cap is inclusive. Parsing records sizes only; nothing allocates.
+  Module M;
+  std::string Error;
+  ASSERT_TRUE(parseModule("module {\n  array @a : flt[134217727]\n"
+                          "  array @b : int[1]\n}\n",
+                          M, Error))
+      << Error;
+  EXPECT_EQ(uint64_t(M.array(0).Size) + M.array(1).Size, MaxArrayElements);
+}
 
 //===--------------------------------------------------------------------===//
 // Inputs that parse but fail verification.

@@ -22,7 +22,6 @@
 #include "service/AllocationService.h"
 #include "support/Rng.h"
 #include "support/ThreadPool.h"
-#include "support/TriangularBitMatrix.h"
 #include "workloads/MegaKernel.h"
 #include "workloads/RandomProgram.h"
 #include "workloads/Workloads.h"
@@ -129,14 +128,15 @@ TEST(InterferenceGraphCSRTest, AddEdgeAfterFinalizeRebuilds) {
 using Rows = std::vector<std::vector<uint32_t>>;
 using EdgeStream = std::vector<std::pair<uint32_t, uint32_t>>;
 
-/// Per-node rows as the matrix-guarded addEdge built them: an edge is
-/// kept only the first time TriangularBitMatrix::testAndSet sees it.
-/// The old insertion path, kept as the oracle for the packed rows.
+/// Per-node rows as the old matrix-guarded addEdge built them: an edge
+/// is kept only the first time it is seen, in either orientation. That
+/// insertion path, replayed over a set of pairs, is the oracle for the
+/// packed rows.
 Rows matrixDedupRows(unsigned NumNodes, const EdgeStream &Edges) {
-  TriangularBitMatrix M(NumNodes);
+  std::set<std::pair<uint32_t, uint32_t>> Seen;
   Rows Out(NumNodes);
   for (auto [A, B] : Edges)
-    if (A != B && M.testAndSet(A, B)) {
+    if (A != B && Seen.insert({std::min(A, B), std::max(A, B)}).second) {
       Out[A].push_back(B);
       Out[B].push_back(A);
     }

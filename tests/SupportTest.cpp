@@ -10,7 +10,6 @@
 #include "support/Status.h"
 #include "support/Table.h"
 #include "support/Timer.h"
-#include "support/TriangularBitMatrix.h"
 #include "support/UnionFind.h"
 
 #include <gtest/gtest.h>
@@ -109,54 +108,6 @@ TEST(BitVectorTest, ForEachMatchesReferenceSet) {
   BV.forEachSetBit([&](unsigned Bit) { Seen.insert(Bit); });
   EXPECT_EQ(Seen, Ref);
   EXPECT_EQ(BV.count(), Ref.size());
-}
-
-TEST(TriangularBitMatrixTest, SymmetryAndDiagonal) {
-  TriangularBitMatrix M(10);
-  EXPECT_FALSE(M.test(3, 7));
-  M.set(3, 7);
-  EXPECT_TRUE(M.test(3, 7));
-  EXPECT_TRUE(M.test(7, 3)) << "relation is symmetric";
-  EXPECT_FALSE(M.test(4, 4)) << "diagonal is always false";
-  M.clear(7, 3);
-  EXPECT_FALSE(M.test(3, 7));
-}
-
-TEST(TriangularBitMatrixTest, TestAndSet) {
-  TriangularBitMatrix M(5);
-  EXPECT_TRUE(M.testAndSet(0, 4));
-  EXPECT_FALSE(M.testAndSet(4, 0));
-}
-
-TEST(TriangularBitMatrixTest, DenseRandomAgainstReference) {
-  Rng R(77);
-  TriangularBitMatrix M(40);
-  std::set<std::pair<unsigned, unsigned>> Ref;
-  for (int I = 0; I < 300; ++I) {
-    unsigned A = unsigned(R.nextBelow(40)), B = unsigned(R.nextBelow(40));
-    if (A == B)
-      continue;
-    M.set(A, B);
-    Ref.insert({std::min(A, B), std::max(A, B)});
-  }
-  for (unsigned A = 0; A < 40; ++A)
-    for (unsigned B = A + 1; B < 40; ++B)
-      EXPECT_EQ(M.test(A, B), Ref.count({A, B}) != 0);
-}
-
-TEST(TriangularBitMatrixTest, SizeArithmeticIsSixtyFourBit) {
-  // Sizes only: neither matrix is allocated. In 32-bit unsigned,
-  // 65,537 * 65,536 wraps and the size came out as 32,768 bits.
-  EXPECT_EQ(TriangularBitMatrix::numBits(65537), 2147516416ull);
-  EXPECT_EQ(TriangularBitMatrix::bytesFor(65537), 268439552ull);
-  // 92,682 nodes is the last size BitVector's 32-bit count can hold.
-  EXPECT_EQ(TriangularBitMatrix::MaxNodes, 92682ull);
-  EXPECT_LE(TriangularBitMatrix::numBits(92682), 0xFFFFFFFFull);
-  EXPECT_EQ(TriangularBitMatrix::numBits(92683), 4295022903ull);
-  EXPECT_GT(TriangularBitMatrix::numBits(92683), 0xFFFFFFFFull);
-  EXPECT_EQ(TriangularBitMatrix::numBits(0), 0u);
-  EXPECT_EQ(TriangularBitMatrix::numBits(1), 0u);
-  EXPECT_EQ(TriangularBitMatrix::bytesFor(2), 8u);
 }
 
 TEST(UnionFindTest, BasicMerging) {

@@ -26,8 +26,8 @@
 //                        functions degrade down the ladder (linear-scan
 //                        retry, then audited spill-everything) instead
 //                        of failing (0 = unbounded, the default)
-//   --mem-budget-mb N    per-function memory budget for coalescing's
-//                        matrix and the interference graphs; a function
+//   --mem-budget-mb N    per-function memory budget for the interference
+//                        graphs of coalescing and coloring; a function
 //                        whose charge is refused degrades (0 =
 //                        unbounded, the default)
 //   --audit / --no-audit run the post-allocation audit (default on)
